@@ -17,7 +17,7 @@ from . import laplacian as _laplacian
 from . import matutil as _matutil
 from . import mesh_graph as _mesh_graph
 from . import spectral as _spectral
-from .pipeline import PipelineConfig, run_match
+from .pipeline import PipelineConfig, mesh_spectra, run_match
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -67,10 +67,8 @@ def cmd_match(args) -> int:
 
 def cmd_embed(args) -> int:
     mesh = _mesh_graph.load_mesh(args.mesh)
-    graph = _mesh_graph.build_graph(mesh, args.weighting, args.sigma)
-    lap = _laplacian.assemble(graph, "combinatorial")
-    k_cap = min(50, graph.n - 1)
-    spectrum = _spectral.eigs_smallest(lap, k_cap, seed=args.seed)
+    (graph,), (spectrum,), k_cap = mesh_spectra(
+        (mesh,), args.weighting, args.sigma, args.seed)
     nonnull = spectrum.eigenvalues[1:]
     if args.k:
         K = min(args.k, k_cap)

@@ -28,7 +28,7 @@ class Embedding:
     """K x n coordinates of the graph vertices in spectral space."""
 
     coords: np.ndarray            # K x n, columns are vertices
-    kind: str                     # raw_laplacian | commute_time | hypersphere
+    kind: str                     # commute_time | hypersphere
     eigenvalues: np.ndarray       # the K source non-null eigenvalues
 
     @property
@@ -58,18 +58,6 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
     U = spectrum.eigenvectors[:, 1:K + 1]
     coords = (U / np.sqrt(lam)).T
     return Embedding(coords=coords, kind="commute_time", eigenvalues=lam.copy())
-
-
-def raw_embedding(spectrum: Spectrum, K: int) -> Embedding:
-    """Unscaled eigenvector coordinates (rows = non-null eigenvectors)."""
-    avail = spectrum.n_pairs - 1
-    if K > avail:
-        raise InsufficientSpectrumError(
-            f"requested K={K} but spectrum has {avail} non-null pairs"
-        )
-    lam = spectrum.eigenvalues[1:K + 1]
-    coords = spectrum.eigenvectors[:, 1:K + 1].T.copy()
-    return Embedding(coords=coords, kind="raw_laplacian", eigenvalues=lam.copy())
 
 
 def commute_time_distance(

@@ -67,6 +67,24 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
+def mesh_spectra(meshes, weighting="gaussian", sigma=None, seed=0):
+    """The shared front end of ``match`` and ``embed``: each mesh's graph
+    and the smallest eigenpairs of its combinatorial Laplacian.
+
+    Every spectrum holds the same k_cap+1 pairs, with k_cap the
+    ``K_MAX_DEFAULT`` cap or one less than the smallest vertex count.
+    Returns (graphs, spectra, k_cap).
+    """
+    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, weighting, sigma)
+              for mesh in meshes]
+    laps = [_stage("laplacian", _laplacian.assemble, graph, "combinatorial")
+            for graph in graphs]
+    k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
+    spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_cap, seed=seed)
+               for lap in laps]
+    return graphs, spectra, k_cap
+
+
 def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfig()) -> MatchResult:
     """Register mesh_b onto mesh_a, returning dense correspondences and a
     per-stage report."""
@@ -78,24 +96,18 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
         "seed": config.seed,
     }}
 
-    graph_a = _stage("mesh_graph", _mesh_graph.build_graph, mesh_a,
-                     config.weighting, config.sigma)
-    graph_b = _stage("mesh_graph", _mesh_graph.build_graph, mesh_b,
-                     config.weighting, config.sigma)
+    (graph_a, graph_b), (spec_a, spec_b), k_cap = mesh_spectra(
+        (mesh_a, mesh_b), config.weighting, config.sigma, config.seed)
     report["n_a"], report["n_b"] = graph_a.n, graph_b.n
-
-    lap_a = _stage("laplacian", _laplacian.assemble, graph_a, "combinatorial")
-    lap_b = _stage("laplacian", _laplacian.assemble, graph_b, "combinatorial")
-
-    k_cap = min(K_MAX_DEFAULT, graph_a.n - 1, graph_b.n - 1)
-    k_request = min(config.k, k_cap) if config.k else k_cap
-    spec_a = _stage("spectral", _spectral.eigs_smallest, lap_a, k_cap,
-                    seed=config.seed)
-    spec_b = _stage("spectral", _spectral.eigs_smallest, lap_b, k_cap,
-                    seed=config.seed)
+    report["spectral"] = {
+        "method_a": spec_a.method, "method_b": spec_b.method,
+        "pairs_computed": k_cap + 1,
+        "worst_residual_a": float(spec_a.residuals.max()),
+        "worst_residual_b": float(spec_b.residuals.max()),
+    }
 
     if config.k:
-        K = k_request
+        K = min(config.k, k_cap)
         report["k_selection"] = {"mode": "fixed", "K": K}
     else:
         sel_a = _embedding.select_dimension(spec_a.eigenvalues[1:], graph_a.n,

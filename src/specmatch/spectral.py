@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +13,9 @@ from .laplacian import LaplacianMatrix
 from .mesh_graph import Graph
 
 DENSE_LIMIT = 2000
+# shift-invert pole as a multiple of ||L||_1: just below the zero
+# eigenvalue, so the sparse LU factors the positive definite L + 1e-6 ||L||_1 I
+SHIFT = -1e-6
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,7 @@ class Spectrum:
     residuals: np.ndarray         # per-pair ||A u - lambda u||
     source_kind: str
     near_degenerate: np.ndarray = field(default=None)
+    method: str = "dense"         # solver path: "dense" or "shift_invert"
 
     def __post_init__(self):
         if self.near_degenerate is None:
@@ -105,14 +107,16 @@ def eigs_smallest(
     K: int,
     tol: float | None = None,
     seed: int = 0,
-    maxiter: int | None = None,
 ) -> Spectrum:
     """The K+1 algebraically smallest eigenpairs of a symmetric Laplacian.
 
-    The known null vector (constant for combinatorial, D^{1/2} 1 for
-    normalized) is deflated explicitly, so the iterative solver only works
-    on the non-null part of the spectrum. Start vectors are seeded, and
-    each eigenvector's sign is canonicalized, so results are deterministic.
+    Mid-size and large problems take one shift-invert Lanczos solve
+    (ARPACK via ``eigsh``) about a shift just below zero, so the sparse LU
+    factors the positive definite L + eps I and the wanted low end of the
+    spectrum becomes the dominant end of its inverse. Problems where K+1 is
+    a sizeable share of n go to a dense solver. The start vector is seeded
+    and each eigenvector's sign is canonicalized, so results are
+    deterministic.
     """
     if lap.kind not in ("combinatorial", "normalized"):
         raise ValueError("eigs_smallest requires a symmetric Laplacian kind")
@@ -123,85 +127,48 @@ def eigs_smallest(
     norm1 = splinalg.norm(A, 1) if A.nnz else 1.0
     if tol is None:
         tol = 1e-8 * norm1
-    if maxiter is None:
-        maxiter = 50 * (K + 1) * max(1, math.ceil(math.log2(max(n, 2))))
-
     null = _null_vector(lap).reshape(-1, 1)
-    block = min(K + 3, n - 1)
 
-    # the block iteration needs headroom over the block size; small
-    # problems go straight to the dense solver (same postconditions)
-    if 5 * block >= n:
+    # Lanczos needs a basis well beyond K+1 vectors; small problems go
+    # straight to the dense solver (same postconditions)
+    if 5 * min(K + 3, n - 1) >= n:
         return _dense_smallest(A, lap, null, K, tol)
 
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, block))
-    # orthogonalize the start block against the deflated null vector
-    X -= null @ (null.T @ X)
-    X, _ = np.linalg.qr(X)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        vals, vecs = splinalg.eigsh(
+            A.tocsc(), k=K + 1, sigma=SHIFT * norm1, which="LM", v0=v0
+        )
+    except splinalg.ArpackNoConvergence as exc:
+        res = np.linalg.norm(
+            A @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues, axis=0
+        )
+        raise NonConvergenceError(res.tolist() or [np.inf], tol) from exc
 
-    M = None
-    if n >= 300:
-        try:
-            import pyamg
+    # the analytic null vector takes the first slot; the other K are
+    # re-orthonormalized against it and within the block
+    vecs = vecs[:, np.argsort(vals)[1:]]
+    vecs -= null @ (null.T @ vecs)
+    vecs, _ = np.linalg.qr(vecs)
+    vals = np.einsum("ij,ij->j", vecs, A @ vecs)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
 
-            # pyamg draws from the legacy global RNG; pin it so repeated
-            # calls build the identical preconditioner
-            state = np.random.get_state()
-            try:
-                np.random.seed(seed)
-                ml = pyamg.smoothed_aggregation_solver(A.tocsr(), B=null.copy())
-            finally:
-                np.random.set_state(state)
-            M = ml.aspreconditioner()
-        except Exception:  # pragma: no cover - preconditioner is best effort
-            M = None
-
-    # the block iteration can stagnate short of the tolerance; warm
-    # restarts from the current iterate recover the last digits cheaply
-    for attempt in range(4):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = splinalg.lobpcg(
-                A, X, Y=null, M=M, tol=0.5 * tol, maxiter=maxiter, largest=False
-            )
-
-        order = np.argsort(vals)
-        vals = np.asarray(vals)[order][:K]
-        vecs = np.asarray(vecs)[:, order][:, :K]
-
-        # re-orthonormalize against the null space and within the block
-        vecs -= null @ (null.T @ vecs)
-        vecs, _ = np.linalg.qr(vecs)
-        vals = np.einsum("ij,ij->j", vecs, A @ vecs)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-
-        residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
-        if not residuals.size or residuals.max() <= tol:
-            break
-        pad = rng.standard_normal((n, block - K))
-        X = np.hstack([vecs, pad])
-        X -= null @ (null.T @ X)
-        X, _ = np.linalg.qr(X)
+    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
     if residuals.size and residuals.max() > tol:
         raise NonConvergenceError(residuals.tolist(), tol)
-
-    scale = max(1.0, float(vals[-1]) if vals.size else 1.0)
-    if vals.size and vals[0] <= 1e-8 * scale:
+    if vals.size and vals[0] <= 1e-8 * max(1.0, float(vals[-1])):
         # a second numerically-zero eigenvalue means the graph is disconnected
         raise DisconnectedGraphError(2)
 
     null_val = float(null[:, 0] @ (A @ null[:, 0]))
     null_res = float(np.linalg.norm(A @ null[:, 0] - null_val * null[:, 0]))
-    eigenvalues = np.concatenate([[null_val], vals])
-    eigenvectors = _canonicalize_signs(np.hstack([null, vecs]))
-    all_res = np.concatenate([[null_res], residuals])
     return Spectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        residuals=all_res,
+        eigenvalues=np.concatenate([[null_val], vals]),
+        eigenvectors=_canonicalize_signs(np.hstack([null, vecs])),
+        residuals=np.concatenate([[null_res], residuals]),
         source_kind=lap.kind,
+        method="shift_invert",
     )
 
 

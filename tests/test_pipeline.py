@@ -4,6 +4,7 @@ import pytest
 from specmatch.errors import PipelineError
 from specmatch.evaluation import GroundTruth, registration_error, synth_transform
 from specmatch.pipeline import PipelineConfig, run_match
+from specmatch.shapes import bent_cylinder
 
 
 def test_config_validation():
@@ -68,3 +69,14 @@ def test_stage_error_wrapped():
     with pytest.raises(PipelineError) as exc:
         run_match(disconnected, disconnected)
     assert exc.value.stage == "mesh_graph"
+
+
+def test_report_names_solver_path():
+    # 280 vertices: above the dense path's 5 x 53 limit for 51 pairs
+    mesh_a = bent_cylinder(14, 20)
+    mesh_b, _ = synth_transform(mesh_a, "isometry_relabel", seed=3)
+    spectral = run_match(mesh_a, mesh_b, PipelineConfig(k=10)).report["spectral"]
+    assert spectral["method_a"] == spectral["method_b"] == "shift_invert"
+    assert spectral["pairs_computed"] == 51
+    assert 0.0 <= spectral["worst_residual_a"] < 1e-8
+    assert 0.0 <= spectral["worst_residual_b"] < 1e-8

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import linalg as splinalg
 
-from specmatch.errors import DisconnectedGraphError
+from specmatch.errors import DisconnectedGraphError, NonConvergenceError
+from specmatch.evaluation import synth_transform
 from specmatch.laplacian import assemble
-from specmatch.mesh_graph import Graph
+from specmatch.mesh_graph import Graph, build_graph
+from specmatch.shapes import bent_cylinder
 from specmatch.spectral import (
     check_spectral_properties,
     dense_eig,
@@ -73,23 +77,56 @@ def test_solver_matches_dense_oracle():
     rng = np.random.default_rng(2)
     for n in (30, 120, 500):
         graph = random_connected_graph(rng, n)
-        lap = assemble(graph, "combinatorial")
-        K = min(8, n - 2)
-        iterative = eigs_smallest(lap, K, seed=0)
-        oracle = dense_eig(lap.matrix.toarray(), source_kind="combinatorial")
-        np.testing.assert_allclose(
-            iterative.eigenvalues[1:], oracle.eigenvalues[1:K + 1],
-            rtol=1e-6, atol=1e-9,
-        )
-        # subspace agreement where the eigengap resolves the pairs
-        gaps = np.diff(oracle.eigenvalues[:K + 2])
-        for k in range(1, K + 1):
-            if min(gaps[k - 1], gaps[k]) <= 1e-6:
-                continue
-            u = iterative.eigenvectors[:, k]
-            v = oracle.eigenvectors[:, k]
-            angle = np.arccos(np.clip(np.abs(u @ v), 0.0, 1.0))
-            assert angle <= 1e-4
+        for kind in ("combinatorial", "normalized"):
+            lap = assemble(graph, kind)
+            K = min(8, n - 2)
+            iterative = eigs_smallest(lap, K, seed=0)
+            oracle = dense_eig(lap.matrix.toarray(), source_kind=kind)
+            np.testing.assert_allclose(
+                iterative.eigenvalues[1:], oracle.eigenvalues[1:K + 1],
+                rtol=1e-6, atol=1e-9,
+            )
+            # subspace agreement where the eigengap resolves the pairs
+            gaps = np.diff(oracle.eigenvalues[:K + 2])
+            for k in range(1, K + 1):
+                if min(gaps[k - 1], gaps[k]) <= 1e-6:
+                    continue
+                u = iterative.eigenvectors[:, k]
+                v = oracle.eigenvectors[:, k]
+                angle = np.arccos(np.clip(np.abs(u @ v), 0.0, 1.0))
+                assert angle <= 1e-4
+
+
+def test_start_vector_seed_does_not_change_spectrum():
+    # a relabelled mesh on which block-iteration solvers converge at a rate
+    # that depends on the random start
+    mesh, _ = synth_transform(bent_cylinder(16, 40), "isometry_relabel", seed=133)
+    lap = assemble(build_graph(mesh, "gaussian"), "combinatorial")
+    oracle = scipy.linalg.eigvalsh(lap.matrix.toarray(), subset_by_index=[0, 50])
+    spectra = [eigs_smallest(lap, 50, seed=seed).eigenvalues for seed in (0, 1, 2)]
+    for vals in spectra:
+        np.testing.assert_allclose(vals, spectra[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(vals, oracle, rtol=1e-10, atol=1e-12)
+
+
+def test_method_reports_solver_path():
+    rng = np.random.default_rng(7)
+    small = assemble(random_connected_graph(rng, 30), "combinatorial")
+    assert eigs_smallest(small, 8).method == "dense"
+    mesh = assemble(build_graph(bent_cylinder(16, 40), "gaussian"), "combinatorial")
+    assert eigs_smallest(mesh, 50).method == "shift_invert"
+
+
+def test_arpack_failure_is_nonconvergence(monkeypatch):
+    lap = assemble(random_connected_graph(np.random.default_rng(8), 200), "combinatorial")
+
+    def no_convergence(A, k, **kwargs):
+        raise splinalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+    monkeypatch.setattr(splinalg, "eigsh", no_convergence)
+    with pytest.raises(NonConvergenceError):
+        eigs_smallest(lap, 8)
 
 
 def test_orthonormal_columns():

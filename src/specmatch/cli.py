@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 
 import numpy as np
 
@@ -99,15 +100,13 @@ def _read_pairs_tsv(path):
 
 def cmd_eval(args) -> int:
     mesh_a = _mesh_graph.load_mesh(args.mesh_a)
-    corr_pairs = [(j, i) for j, i in _read_pairs_tsv(args.corr) if i >= 0]
-    unmatched = [j for j, i in _read_pairs_tsv(args.corr) if i < 0]
+    pairs = _read_pairs_tsv(args.corr)
+    corr = types.SimpleNamespace(
+        map_matches=[(j, i) for j, i in pairs if i >= 0],
+        unmatched=[j for j, i in pairs if i < 0],
+    )
     gt = _evaluation.GroundTruth(dict(_read_pairs_tsv(args.gt)))
-
-    class _Corr:
-        map_matches = corr_pairs
-
-    _Corr.unmatched = unmatched
-    report = _evaluation.registration_error(_Corr, gt, mesh_a)
+    report = _evaluation.registration_error(corr, gt, mesh_a)
     _write_json(
         {
             "mean": report.mean, "median": report.median, "max": report.max,

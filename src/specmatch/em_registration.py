@@ -79,11 +79,13 @@ def _sq_distances(X: np.ndarray, X_data: np.ndarray, R: np.ndarray) -> np.ndarra
     return cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
 
 
-def e_step(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> np.ndarray:
-    """Row-stochastic m x (n+1) posterior; the last column is the outlier class.
+def e_step(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
+    """Row-stochastic m x (n+1) posterior (the last column is the outlier
+    class) and the observed-data log-likelihood.
 
     Rows are computed with a max-shift before exponentiation, so very
-    small variances do not underflow.
+    small variances do not underflow. A row's log-likelihood is its shift
+    plus the log of its normalizer plus log pi_in - K/2 log(2 pi sigma).
     """
     D2 = _sq_distances(X, X_data, params.R)
     E = -D2 / (2.0 * params.sigma)
@@ -98,7 +100,9 @@ def e_step(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> np.ndarray:
     posterior = np.empty((E.shape[0], E.shape[1] + 1))
     posterior[:, :-1] = num / denom[:, None]
     posterior[:, -1] = out / denom
-    return posterior
+    const = np.log(params.pi_in) - (params.K / 2.0) * np.log(2.0 * np.pi * params.sigma)
+    ll = float((shift + np.log(denom)).sum() + E.shape[0] * const)
+    return posterior, ll
 
 
 def m_step(
@@ -120,16 +124,21 @@ def m_step(
     R = A @ Bt
     degenerate = bool(svals.size and svals[-1] <= 1e-12 * max(svals[0], 1e-300))
 
-    D2 = _sq_distances(X, X_data, R)
     total = alpha.sum()
     if total <= 0:
         raise ValueError("posterior carries no inlier mass")
-    sigma = float((alpha * D2).sum() / (X.shape[0] * total))
+    # sum_ji alpha_ji |y_j - R x_i|^2 without a distance matrix, as in rigid
+    # Coherent Point Drift: tr(R^T cross) is the sum of the singular values.
+    # Rounding can leave it slightly negative, which the floor absorbs.
+    residual = (alpha.sum(axis=1) @ (X_data ** 2).sum(axis=0)
+                + alpha.sum(axis=0) @ (X ** 2).sum(axis=0) - 2.0 * svals.sum())
+    sigma = float(residual / (X.shape[0] * total))
     return R, max(sigma, SIGMA_FLOOR), degenerate
 
 
 def log_likelihood(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> float:
-    """Observed-data log-likelihood of the mixture (the EM objective)."""
+    """Observed-data log-likelihood of the mixture (the EM objective),
+    from its own distance matrix; ``e_step`` returns the same value."""
     K = params.K
     D2 = _sq_distances(X, X_data, params.R)
     log_gauss = (
@@ -179,6 +188,7 @@ class Correspondence:
     expected_log_likelihood: float = float("-inf")
     params: GmmParams = None
     degenerate: bool = False
+    converged: bool = False               # False when max_iter stopped EM
 
 
 def initial_sigma(X: np.ndarray, X_data: np.ndarray, R0: np.ndarray) -> float:
@@ -199,26 +209,30 @@ def em_register(
     signed permutation produced by the eigenbasis alignment. Iterates
     until the relative log-likelihood change drops below ``opts.tol`` or
     ``opts.max_iter`` is hit, then accepts the assignments whose
-    posterior strictly exceeds the MAP threshold.
+    posterior strictly exceeds the MAP threshold. Each iteration builds
+    one distance matrix, in the e-step.
     """
     X = np.asarray(X, dtype=float)
     X_data = np.asarray(X_data, dtype=float)
     K, n = X.shape
     if X_data.shape[0] != K:
         raise ValueError("embeddings must share the same dimension K")
+    if n == 0:
+        raise ValueError("the cluster point set X is empty")
+    if X_data.shape[1] == 0:
+        raise ValueError("the data point set X_data is empty")
     R0 = np.asarray(R0, dtype=float)
 
     sigma = opts.sigma0 if opts.sigma0 is not None else initial_sigma(X, X_data, R0)
     params = make_params(R0, max(sigma, SIGMA_FLOOR), n, pi_out=opts.pi_out)
 
     trace = []
-    posterior = None
     degenerate = False
+    converged = True  # cleared below when max_iter, not the tolerance, ends the loop
     prev_ll = -np.inf
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        posterior = e_step(X, X_data, params)
-        ll = log_likelihood(X, X_data, params)
+        posterior, ll = e_step(X, X_data, params)
         if not np.isfinite(ll):
             raise LikelihoodError(f"non-finite log-likelihood at iteration {iterations}")
         trace.append(ll)
@@ -229,10 +243,12 @@ def em_register(
             if abs(ll - prev_ll) / denom < opts.tol:
                 break
         prev_ll = ll
+    else:
+        converged = False
 
-    posterior = e_step(X, X_data, params)
-    best = posterior[:, :-1].max(axis=1, initial=-np.inf)
-    winners = posterior[:, :-1].argmax(axis=1) if n else np.zeros(0, dtype=int)
+    posterior, final_ll = e_step(X, X_data, params)
+    best = posterior[:, :-1].max(axis=1)
+    winners = posterior[:, :-1].argmax(axis=1)
     map_matches = [
         (int(j), int(winners[j]))
         for j in range(X_data.shape[1])
@@ -240,7 +256,6 @@ def em_register(
     ]
     matched = {j for j, _ in map_matches}
     unmatched = [j for j in range(X_data.shape[1]) if j not in matched]
-    final_ll = log_likelihood(X, X_data, params)
     return Correspondence(
         posterior=posterior,
         map_matches=map_matches,
@@ -253,6 +268,7 @@ def em_register(
         ),
         params=params,
         degenerate=degenerate,
+        converged=converged,
     )
 
 

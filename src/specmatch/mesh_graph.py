@@ -174,7 +174,6 @@ def _load_ply_ascii(path) -> Mesh:
     lineno, tok = next(it, (1, []))
     if tok != ["ply"]:
         raise MeshParseError(path, lineno, "missing 'ply' magic")
-    nv = nf = None
     elements = []  # header order of (name, count)
     for lineno, tok in it:
         if tok[0] == "format":
@@ -224,9 +223,7 @@ def _load_ply_ascii(path) -> Mesh:
                 if max(idx) >= nv or min(idx) < 0:
                     raise MeshParseError(path, lineno, f"face index out of range: {idx}")
                 faces[i] = idx
-    if next(it, None) is not None:
-        # trailing garbage is tolerated in the wild; ignore it
-        pass
+    # trailing data after the declared elements is tolerated in the wild
     return Mesh(vertices=vertices, faces=faces)
 
 

@@ -121,6 +121,7 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
             "reached_a": sel_a.reached, "reached_b": sel_b.reached,
         }
 
+    report["spectral"]["pairs_used"] = K + 1  # the null pair and K non-null pairs
     U_a = spec_a.eigenvectors[:, 1:K + 1]
     U_b = spec_b.eigenvectors[:, 1:K + 1]
     align = _stage("alignment", _alignment.align_embeddings, U_a, U_b,
@@ -160,6 +161,7 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     corr = _stage("em_registration", _em.em_register, X_a, X_b, R0, opts)
     report["em"] = {
         "iterations": corr.iterations,
+        "converged": corr.converged,
         "final_sigma": corr.params.sigma,
         "log_likelihood": corr.log_likelihood,
         "n_matched": len(corr.map_matches),

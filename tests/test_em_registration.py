@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
+from specmatch import em_registration
 from specmatch.em_registration import (
     Correspondence,
     EmOptions,
@@ -47,7 +48,7 @@ def test_e_step_single_center_no_outlier():
     X = np.array([[0.3], [0.4]])
     data = np.array([[1.0], [-2.0]])
     params = make_params(np.eye(2), 0.7, n=1, pi_out=0.0)
-    post = e_step(X, data, params)
+    post, _ = e_step(X, data, params)
     np.testing.assert_allclose(post, [[1.0, 0.0]])
 
 
@@ -55,7 +56,7 @@ def test_e_step_equidistant_centers():
     X = np.array([[-1.0, 1.0], [0.0, 0.0]])
     data = np.zeros((2, 1))
     params = make_params(np.eye(2), 0.3, n=2, pi_out=0.0)
-    post = e_step(X, data, params)
+    post, _ = e_step(X, data, params)
     np.testing.assert_allclose(post[0, :2], [0.5, 0.5])
     assert post[0, 2] == 0.0
 
@@ -70,7 +71,7 @@ def test_e_step_outlier_balance():
     )
     X = np.zeros((2, 1))
     data = np.zeros((2, 1))
-    post = e_step(X, data, params)
+    post, _ = e_step(X, data, params)
     np.testing.assert_allclose(post, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -79,7 +80,7 @@ def test_e_step_rows_stochastic():
     X = rng.standard_normal((3, 8))
     data = rng.standard_normal((3, 12))
     params = make_params(np.eye(3), 0.2, n=8, pi_out=0.05)
-    post = e_step(X, data, params)
+    post, _ = e_step(X, data, params)
     assert post.shape == (12, 9)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(post >= 0.0)
@@ -89,7 +90,7 @@ def test_e_step_tiny_sigma_no_underflow():
     X = np.array([[0.0, 10.0]])
     data = np.array([[0.1]])
     params = make_params(np.eye(1), 1e-14, n=2, pi_out=0.01)
-    post = e_step(X, data, params)
+    post, _ = e_step(X, data, params)
     assert np.all(np.isfinite(post))
     np.testing.assert_allclose(post.sum(axis=1), 1.0)
 
@@ -214,9 +215,62 @@ def test_likelihood_consistent_with_e_step():
     params = make_params(np.eye(2), 0.3, n=6, pi_out=0.1)
     ll = log_likelihood(X, data, params)
     assert np.isfinite(ll)
-    post = e_step(X, data, params)
+    post, _ = e_step(X, data, params)
     q = expected_complete_log_likelihood(X, data, params, post)
     assert np.isfinite(q)
+
+
+@pytest.mark.parametrize("pi_out", [0.0, 0.01, 0.2])
+@pytest.mark.parametrize("sigma", [1e-12, 1e-6, 0.05, 3.0])
+def test_e_step_log_likelihood_matches_reference(pi_out, sigma):
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((4, 9))
+    X /= np.linalg.norm(X, axis=0)
+    data = X[:, rng.permutation(9)[:7]] + 0.01 * rng.standard_normal((4, 7))
+    R = special_ortho_group.rvs(4, random_state=14)
+    params = make_params(R, sigma, n=9, pi_out=pi_out)
+    _, ll = e_step(X, data, params)
+    assert ll == pytest.approx(log_likelihood(X, data, params), rel=1e-12)
+
+
+def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
+    calls = []
+    original = em_registration._sq_distances
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(em_registration, "_sq_distances", counting)
+    rng = np.random.default_rng(15)
+    K, n = 4, 40
+    X = rng.standard_normal((K, n))
+    X /= np.linalg.norm(X, axis=0)
+    data = X + 0.02 * rng.standard_normal((K, n))
+    corr = em_register(X, data, np.eye(K), EmOptions(pi_out=0.05))
+    assert corr.iterations > 2
+    # one per e-step, plus the initial variance, the final e-step and the
+    # expected complete log-likelihood
+    assert len(calls) <= corr.iterations + 3
+
+
+def test_em_reports_convergence():
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((4, 30))
+    X /= np.linalg.norm(X, axis=0)
+    assert em_register(X, X, np.eye(4)).converged
+    data = X + 0.05 * rng.standard_normal((4, 30))
+    capped = em_register(X, data, np.eye(4), EmOptions(max_iter=1))
+    assert capped.iterations == 1
+    assert not capped.converged
+
+
+def test_em_rejects_empty_point_sets():
+    X = np.ones((3, 5))
+    with pytest.raises(ValueError, match="cluster point set"):
+        em_register(np.zeros((3, 0)), X, np.eye(3))
+    with pytest.raises(ValueError, match="data point set"):
+        em_register(X, np.zeros((3, 0)), np.eye(3))
 
 
 def test_write_correspondence_tsv(tmp_path):

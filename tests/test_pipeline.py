@@ -75,8 +75,11 @@ def test_report_names_solver_path():
     # 280 vertices: above the dense path's 5 x 53 limit for 51 pairs
     mesh_a = bent_cylinder(14, 20)
     mesh_b, _ = synth_transform(mesh_a, "isometry_relabel", seed=3)
-    spectral = run_match(mesh_a, mesh_b, PipelineConfig(k=10)).report["spectral"]
+    report = run_match(mesh_a, mesh_b, PipelineConfig(k=10)).report
+    spectral = report["spectral"]
     assert spectral["method_a"] == spectral["method_b"] == "shift_invert"
     assert spectral["pairs_computed"] == 51
+    assert spectral["pairs_used"] == 11
+    assert report["em"]["converged"] is True
     assert 0.0 <= spectral["worst_residual_a"] < 1e-8
     assert 0.0 <= spectral["worst_residual_b"] < 1e-8

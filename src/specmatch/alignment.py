@@ -33,7 +33,6 @@ class EigenSignature:
 
     bin_edges: np.ndarray     # B+1 ascending edges, symmetric about 0
     mass: np.ndarray          # B frequencies summing to 1
-    index: int | None = None  # source eigenvector index, when known
 
 
 def scott_bin_width(n: int) -> float:
@@ -50,9 +49,7 @@ def scott_bin_count(n: int) -> float:
     return n ** (4.0 / 3.0) / 2.0
 
 
-def eigensignature(
-    u, B: int = DEFAULT_BINS, limit: float | None = None, index: int | None = None
-) -> EigenSignature:
+def eigensignature(u, B: int = DEFAULT_BINS, limit: float | None = None) -> EigenSignature:
     """Histogram of the components of ``u`` over a symmetric range.
 
     ``limit`` sets the half-range; by default the largest absolute
@@ -68,7 +65,7 @@ def eigensignature(
     edges = np.linspace(-a, a, B + 1)
     counts, _ = np.histogram(u, bins=edges)
     mass = counts / u.size
-    return EigenSignature(bin_edges=edges, mass=mass, index=index)
+    return EigenSignature(bin_edges=edges, mass=mass)
 
 
 def histogram_similarity(H1: EigenSignature, H2: EigenSignature) -> float:

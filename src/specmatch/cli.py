@@ -21,7 +21,9 @@ from . import spectral as _spectral
 from .pipeline import PipelineConfig, mesh_spectra, run_match
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+def _add_front_end_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the mesh -> spectrum -> embedding front end that ``match``
+    and ``embed`` share."""
     p.add_argument("--weighting", choices=["uniform", "gaussian"], default="gaussian")
     p.add_argument("--sigma", type=float, default=None,
                    help="gaussian weight scale (default: mean edge length)")
@@ -31,12 +33,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="captured-variance target for dimension selection")
     p.add_argument("--embedding", choices=["sm1", "sm2"], default="sm2",
                    help="sm1: commute-time, sm2: hypersphere-normalized")
-    p.add_argument("--sig-threshold", type=float, default=0.7,
-                   help="histogram similarity threshold for keeping eigenvectors")
-    p.add_argument("--pi-out", type=float, default=0.01)
-    p.add_argument("--em-tol", type=float, default=1e-6)
-    p.add_argument("--em-max-iter", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _config_from(args) -> PipelineConfig:
@@ -44,7 +40,6 @@ def _config_from(args) -> PipelineConfig:
         weighting=args.weighting, sigma=args.sigma, k=args.k, theta=args.theta,
         embedding=args.embedding, sig_threshold=args.sig_threshold,
         pi_out=args.pi_out, em_tol=args.em_tol, em_max_iter=args.em_max_iter,
-        seed=args.seed,
     )
 
 
@@ -68,8 +63,7 @@ def cmd_match(args) -> int:
 
 def cmd_embed(args) -> int:
     mesh = _mesh_graph.load_mesh(args.mesh)
-    (graph,), (spectrum,), k_cap = mesh_spectra(
-        (mesh,), args.weighting, args.sigma, args.seed)
+    (graph,), (spectrum,), k_cap = mesh_spectra((mesh,), args.weighting, args.sigma)
     nonnull = spectrum.eigenvalues[1:]
     if args.k:
         K = min(args.k, k_cap)
@@ -227,14 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="dense correspondence between two meshes")
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
-    _add_pipeline_flags(p)
+    _add_front_end_flags(p)
+    # the alignment and EM stages, which only match runs
+    p.add_argument("--sig-threshold", type=float, default=0.7,
+                   help="histogram similarity threshold for keeping eigenvectors")
+    p.add_argument("--pi-out", type=float, default=0.01)
+    p.add_argument("--em-tol", type=float, default=1e-6)
+    p.add_argument("--em-max-iter", type=int, default=100)
     p.add_argument("--out-corr", default="correspondence.tsv")
     p.add_argument("--out-report", default="-")
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser("embed", help="dump a mesh's spectral embedding")
     p.add_argument("mesh")
-    _add_pipeline_flags(p)
+    _add_front_end_flags(p)
     p.add_argument("--out", default="embedding.txt")
     p.set_defaults(fn=cmd_embed)
 

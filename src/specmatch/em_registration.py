@@ -18,6 +18,8 @@ from scipy.special import gammaln, logsumexp
 from .errors import SpecmatchError
 
 SIGMA_FLOOR = 1e-12
+# a data point is matched when its largest posterior strictly exceeds this
+MAP_THRESHOLD = 0.5
 
 
 class LikelihoodError(SpecmatchError):
@@ -171,8 +173,6 @@ class EmOptions:
     tol: float = 1e-6
     max_iter: int = 100
     pi_out: float = 0.01
-    sigma0: float | None = None
-    map_threshold: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,6 @@ class Correspondence:
     iterations: int = 0
     log_likelihood: float = float("-inf")
     log_likelihood_trace: np.ndarray = None
-    expected_log_likelihood: float = float("-inf")
     params: GmmParams = None
     degenerate: bool = False
     converged: bool = False               # False when max_iter stopped EM
@@ -209,7 +208,7 @@ def em_register(
     signed permutation produced by the eigenbasis alignment. Iterates
     until the relative log-likelihood change drops below ``opts.tol`` or
     ``opts.max_iter`` is hit, then accepts the assignments whose
-    posterior strictly exceeds the MAP threshold. Each iteration builds
+    posterior strictly exceeds ``MAP_THRESHOLD``. Each iteration builds
     one distance matrix, in the e-step.
     """
     X = np.asarray(X, dtype=float)
@@ -223,8 +222,7 @@ def em_register(
         raise ValueError("the data point set X_data is empty")
     R0 = np.asarray(R0, dtype=float)
 
-    sigma = opts.sigma0 if opts.sigma0 is not None else initial_sigma(X, X_data, R0)
-    params = make_params(R0, max(sigma, SIGMA_FLOOR), n, pi_out=opts.pi_out)
+    params = make_params(R0, initial_sigma(X, X_data, R0), n, pi_out=opts.pi_out)
 
     trace = []
     degenerate = False
@@ -252,7 +250,7 @@ def em_register(
     map_matches = [
         (int(j), int(winners[j]))
         for j in range(X_data.shape[1])
-        if best[j] > opts.map_threshold
+        if best[j] > MAP_THRESHOLD
     ]
     matched = {j for j, _ in map_matches}
     unmatched = [j for j in range(X_data.shape[1]) if j not in matched]
@@ -263,9 +261,6 @@ def em_register(
         iterations=iterations,
         log_likelihood=final_ll,
         log_likelihood_trace=np.array(trace + [final_ll]),
-        expected_log_likelihood=expected_complete_log_likelihood(
-            X, X_data, params, posterior
-        ),
         params=params,
         degenerate=degenerate,
         converged=converged,

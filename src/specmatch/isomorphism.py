@@ -84,7 +84,7 @@ def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | N
     return None
 
 
-def umeyama_match(A_A, A_B, gap_tol: float = 1e-8, refine: bool = False) -> IsoResult:
+def umeyama_match(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult:
     """Relaxed spectral matching via absolute-eigenvector assignment.
 
     Builds the entrywise absolute eigenvector matrices (ascending
@@ -114,12 +114,6 @@ def umeyama_match(A_A, A_B, gap_tol: float = 1e-8, refine: bool = False) -> IsoR
     signs = np.sign(np.einsum("ij,ij->j", U_A, PU_B))
     signs[signs == 0] = 1.0
 
-    if refine:
-        perm = _transposition_descent(A_A, A_B, perm)
-        PU_B = perm.apply_to_rows(U_B)
-        signs = np.sign(np.einsum("ij,ij->j", U_A, PU_B))
-        signs[signs == 0] = 1.0
-
     residual = _conjugation_residual(A_A, A_B, perm)
     exact = residual <= 1e-8 * max(frobenius_norm(A_A), 1.0)
     return IsoResult(
@@ -129,34 +123,6 @@ def umeyama_match(A_A, A_B, gap_tol: float = 1e-8, refine: bool = False) -> IsoR
         exact=exact,
         degenerate=degenerate,
     )
-
-
-def _transposition_descent(
-    A_A, A_B, perm: PermutationMatrix, max_moves: int = 1000
-) -> PermutationMatrix:
-    """Greedy pairwise-transposition descent on the conjugation residual."""
-    mapping = perm.mapping.copy()
-    n = mapping.size
-    best = _conjugation_residual(A_A, A_B, PermutationMatrix(mapping))
-    moves = 0
-    improved = True
-    while improved and moves < max_moves:
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                mapping[i], mapping[j] = mapping[j], mapping[i]
-                r = _conjugation_residual(A_A, A_B, PermutationMatrix(mapping))
-                if r < best - 1e-15:
-                    best = r
-                    moves += 1
-                    improved = True
-                    if moves >= max_moves:
-                        break
-                else:
-                    mapping[i], mapping[j] = mapping[j], mapping[i]
-            if moves >= max_moves:
-                break
-    return PermutationMatrix(mapping)
 
 
 def hoffman_wielandt_gap(A_A, A_B) -> tuple[float, float]:

@@ -115,8 +115,9 @@ def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMat
 
     Greedy peeling: repeatedly pick a permutation inside the strictly
     positive support (via assignment on a 0/1 support cost), subtract the
-    smallest matched entry. Each step zeroes at least one entry, so the
-    number of terms is at most (n-1)^2 + 1.
+    smallest matched entry, until no entry of the residual exceeds ``tol``.
+    Each step zeroes at least one entry, so the number of terms is at most
+    (n-1)^2 + 1.
     """
     if isinstance(X, DoublyStochasticMatrix):
         R = X.entries.copy()
@@ -126,8 +127,7 @@ def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMat
             raise ValueError("input is not doubly stochastic within tolerance")
     n = R.shape[0]
     terms: list[tuple[float, PermutationMatrix]] = []
-    remaining = 1.0
-    while remaining > tol:
+    while (R > tol).any():
         support = R > tol
         perm = hungarian(np.where(support, 0.0, 1.0), sense="min")
         matched = R[np.arange(n), perm.mapping]
@@ -139,5 +139,4 @@ def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMat
         w = float(matched.min())
         terms.append((w, perm))
         R[np.arange(n), perm.mapping] -= w
-        remaining -= w
     return terms

@@ -103,7 +103,7 @@ def load_mesh(path, format: str | None = None) -> Mesh:
             raise ValueError(f"cannot infer mesh format from {path!r}")
     if format == "off":
         return _load_off(path)
-    if format in ("ply", "ply-ascii"):
+    if format == "ply":
         return _load_ply_ascii(path)
     raise ValueError(f"unsupported mesh format {format!r}")
 
@@ -242,7 +242,7 @@ def save_mesh(mesh: Mesh, path, format: str | None = None) -> None:
                 fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
             for f in mesh.faces:
                 fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-        elif format in ("ply", "ply-ascii"):
+        elif format == "ply":
             fh.write("ply\nformat ascii 1.0\n")
             fh.write(f"element vertex {mesh.n_vertices}\n")
             fh.write("property float x\nproperty float y\nproperty float z\n")

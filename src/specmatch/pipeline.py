@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class PipelineConfig:
     pi_out: float = 0.01
     em_tol: float = 1e-6
     em_max_iter: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.weighting not in ("uniform", "gaussian"):
@@ -67,7 +66,7 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def mesh_spectra(meshes, weighting="gaussian", sigma=None, seed=0):
+def mesh_spectra(meshes, weighting="gaussian", sigma=None):
     """The shared front end of ``match`` and ``embed``: each mesh's graph
     and the smallest eigenpairs of its combinatorial Laplacian.
 
@@ -80,7 +79,7 @@ def mesh_spectra(meshes, weighting="gaussian", sigma=None, seed=0):
     laps = [_stage("laplacian", _laplacian.assemble, graph, "combinatorial")
             for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
-    spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_cap, seed=seed)
+    spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_cap)
                for lap in laps]
     return graphs, spectra, k_cap
 
@@ -88,16 +87,10 @@ def mesh_spectra(meshes, weighting="gaussian", sigma=None, seed=0):
 def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfig()) -> MatchResult:
     """Register mesh_b onto mesh_a, returning dense correspondences and a
     per-stage report."""
-    report: dict = {"config": {
-        "weighting": config.weighting, "sigma": config.sigma, "k": config.k,
-        "theta": config.theta, "embedding": config.embedding,
-        "sig_threshold": config.sig_threshold, "pi_out": config.pi_out,
-        "em_tol": config.em_tol, "em_max_iter": config.em_max_iter,
-        "seed": config.seed,
-    }}
+    report: dict = {"config": asdict(config)}
 
     (graph_a, graph_b), (spec_a, spec_b), k_cap = mesh_spectra(
-        (mesh_a, mesh_b), config.weighting, config.sigma, config.seed)
+        (mesh_a, mesh_b), config.weighting, config.sigma)
     report["n_a"], report["n_b"] = graph_a.n, graph_b.n
     report["spectral"] = {
         "method_a": spec_a.method, "method_b": spec_b.method,

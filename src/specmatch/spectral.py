@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -23,23 +23,14 @@ class Spectrum:
     """Ascending eigenpairs of a symmetric Laplacian with solver metadata.
 
     ``eigenvalues[0]`` is the (numerically zero) null mode of a connected
-    graph. ``near_degenerate[k]`` flags eigenvalues whose gap to a
-    neighbor is below resolution, so downstream alignment can treat
-    their eigenvectors cautiously.
+    graph.
     """
 
     eigenvalues: np.ndarray       # ascending, length K+1
     eigenvectors: np.ndarray      # n x (K+1), column-orthonormal
     residuals: np.ndarray         # per-pair ||A u - lambda u||
     source_kind: str
-    near_degenerate: np.ndarray = field(default=None)
     method: str = "dense"         # solver path: "dense" or "shift_invert"
-
-    def __post_init__(self):
-        if self.near_degenerate is None:
-            object.__setattr__(
-                self, "near_degenerate", _degenerate_flags(self.eigenvalues)
-            )
 
     @property
     def n(self) -> int:
@@ -48,16 +39,6 @@ class Spectrum:
     @property
     def n_pairs(self) -> int:
         return self.eigenvalues.size
-
-
-def _degenerate_flags(eigenvalues: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    ev = np.asarray(eigenvalues, dtype=float)
-    scale = max(abs(ev[-1]), 1e-300)
-    flags = np.zeros(ev.size, dtype=bool)
-    close = np.abs(np.diff(ev)) < rel * scale
-    flags[:-1] |= close
-    flags[1:] |= close
-    return flags
 
 
 def _canonicalize_signs(U: np.ndarray) -> np.ndarray:
@@ -80,33 +61,10 @@ def _null_vector(lap: LaplacianMatrix) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_smallest(A, lap, null, K, tol) -> Spectrum:
-    vals, vecs = np.linalg.eigh(A.toarray())
-    vals, vecs = vals[:K + 1], vecs[:, :K + 1]
-    scale = max(1.0, float(vals[-1]))
-    if vals.size > 1 and vals[1] <= 1e-8 * scale:
-        raise DisconnectedGraphError(2)
-    # report the analytic null vector in the first slot
-    vecs = vecs.copy()
-    vecs[:, 0] = null[:, 0]
-    vals = vals.copy()
-    vals[0] = float(null[:, 0] @ (A @ null[:, 0]))
-    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
-    if residuals.max() > tol:
-        raise NonConvergenceError(residuals.tolist(), tol)
-    return Spectrum(
-        eigenvalues=vals,
-        eigenvectors=_canonicalize_signs(vecs),
-        residuals=residuals,
-        source_kind=lap.kind,
-    )
-
-
 def eigs_smallest(
     lap: LaplacianMatrix,
     K: int,
     tol: float | None = None,
-    seed: int = 0,
 ) -> Spectrum:
     """The K+1 algebraically smallest eigenpairs of a symmetric Laplacian.
 
@@ -114,8 +72,10 @@ def eigs_smallest(
     (ARPACK via ``eigsh``) about a shift just below zero, so the sparse LU
     factors the positive definite L + eps I and the wanted low end of the
     spectrum becomes the dominant end of its inverse. Problems where K+1 is
-    a sizeable share of n go to a dense solver. The start vector is seeded
-    and each eigenvector's sign is canonicalized, so results are
+    a sizeable share of n go to a dense solver. Either path yields the K
+    non-null pairs; the analytic null vector takes the first slot, and the
+    connectivity and residual checks are shared. The Lanczos start vector
+    is fixed and each eigenvector's sign is canonicalized, so results are
     deterministic.
     """
     if lap.kind not in ("combinatorial", "normalized"):
@@ -130,45 +90,46 @@ def eigs_smallest(
     null = _null_vector(lap).reshape(-1, 1)
 
     # Lanczos needs a basis well beyond K+1 vectors; small problems go
-    # straight to the dense solver (same postconditions)
+    # straight to the dense solver
     if 5 * min(K + 3, n - 1) >= n:
-        return _dense_smallest(A, lap, null, K, tol)
+        method = "dense"
+        vals, vecs = np.linalg.eigh(A.toarray())
+        vals, vecs = vals[1:K + 1], vecs[:, 1:K + 1]
+    else:
+        method = "shift_invert"
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            vals, vecs = splinalg.eigsh(
+                A.tocsc(), k=K + 1, sigma=SHIFT * norm1, which="LM", v0=v0
+            )
+        except splinalg.ArpackNoConvergence as exc:
+            res = np.linalg.norm(
+                A @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues, axis=0
+            )
+            raise NonConvergenceError(res.tolist() or [np.inf], tol) from exc
+        # re-orthonormalize the K non-null vectors against the null vector
+        # and within the block
+        vecs = vecs[:, np.argsort(vals)[1:]]
+        vecs -= null @ (null.T @ vecs)
+        vecs, _ = np.linalg.qr(vecs)
+        vals = np.einsum("ij,ij->j", vecs, A @ vecs)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
 
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        vals, vecs = splinalg.eigsh(
-            A.tocsc(), k=K + 1, sigma=SHIFT * norm1, which="LM", v0=v0
-        )
-    except splinalg.ArpackNoConvergence as exc:
-        res = np.linalg.norm(
-            A @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues, axis=0
-        )
-        raise NonConvergenceError(res.tolist() or [np.inf], tol) from exc
-
-    # the analytic null vector takes the first slot; the other K are
-    # re-orthonormalized against it and within the block
-    vecs = vecs[:, np.argsort(vals)[1:]]
-    vecs -= null @ (null.T @ vecs)
-    vecs, _ = np.linalg.qr(vecs)
-    vals = np.einsum("ij,ij->j", vecs, A @ vecs)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-
-    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
-    if residuals.size and residuals.max() > tol:
-        raise NonConvergenceError(residuals.tolist(), tol)
     if vals.size and vals[0] <= 1e-8 * max(1.0, float(vals[-1])):
         # a second numerically-zero eigenvalue means the graph is disconnected
         raise DisconnectedGraphError(2)
-
-    null_val = float(null[:, 0] @ (A @ null[:, 0]))
-    null_res = float(np.linalg.norm(A @ null[:, 0] - null_val * null[:, 0]))
+    vals = np.concatenate([[float(null[:, 0] @ (A @ null[:, 0]))], vals])
+    vecs = np.hstack([null, vecs])
+    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    if residuals.max() > tol:
+        raise NonConvergenceError(residuals.tolist(), tol)
     return Spectrum(
-        eigenvalues=np.concatenate([[null_val], vals]),
-        eigenvectors=_canonicalize_signs(np.hstack([null, vecs])),
-        residuals=np.concatenate([[null_res], residuals]),
+        eigenvalues=vals,
+        eigenvectors=_canonicalize_signs(vecs),
+        residuals=residuals,
         source_kind=lap.kind,
-        method="shift_invert",
+        method=method,
     )
 
 
@@ -239,21 +200,13 @@ def check_spectral_properties(
         weighted_zero_sum = None
         normalized_bound = None
 
-    entry_bounds = bool(np.all(np.abs(U) < 1.0))
-    if spectrum.source_kind == "normalized":
-        return SpectralReport(
-            zero_sum=zero_sum,
-            entry_bounds=entry_bounds,
-            mean_variance=mean_variance,
-            eigenvalue_bound=eigenvalue_bound,
-            weighted_zero_sum=weighted_zero_sum,
-            normalized_bound=normalized_bound,
-        )
     return SpectralReport(
         zero_sum=zero_sum,
-        entry_bounds=entry_bounds,
+        entry_bounds=bool(np.all(np.abs(U) < 1.0)),
         mean_variance=mean_variance,
         eigenvalue_bound=eigenvalue_bound,
+        weighted_zero_sum=weighted_zero_sum,
+        normalized_bound=normalized_bound,
     )
 
 

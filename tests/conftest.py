@@ -68,4 +68,4 @@ def torus_spectrum(torus):
     """K=12 leading eigenpairs of the 1536-vertex torus (shared oracle)."""
     graph = mesh_graph.build_graph(torus, "gaussian")
     lap = laplacian.assemble(graph, "combinatorial")
-    return spectral.eigs_smallest(lap, 12, seed=0)
+    return spectral.eigs_smallest(lap, 12)

@@ -98,6 +98,16 @@ def test_embed_writes_embedding(tmp_path, torus_off, capsys):
     np.testing.assert_allclose(np.linalg.norm(data, axis=0), 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "{mesh}", "--em-tol", "1e-3"],   # EM flags belong to match only
+    ["match", "{mesh}", "{mesh}", "--seed", "1"],   # only synth takes a seed
+])
+def test_flags_a_command_does_not_read_are_rejected(torus_off, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(mesh=torus_off) for arg in argv])
+    assert exc.value.code == 2
+
+
 def test_isolab_exact(tmp_path, capsys):
     from specmatch.laplacian import dump_triplets
     from scipy import sparse

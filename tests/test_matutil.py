@@ -153,6 +153,18 @@ def test_birkhoff_uniform_third():
     np.testing.assert_allclose(recon, X, atol=1e-9)
 
 
+def test_birkhoff_stops_on_the_residual_matrix():
+    # doubly stochastic within tol = 1e-9, but the first term has weight
+    # 1 - 7e-10, which already brings a running sum of weights within tol
+    # while the 1.5e-9 cycle entries are still in the residual
+    cycle = PermutationMatrix(np.array([1, 2, 3, 0])).to_matrix()
+    X = (1.0 - 7e-10) * np.eye(4) + 1.5e-9 * cycle
+    terms = birkhoff_decompose(X)
+    assert len(terms) == 2
+    recon = sum(w * p.to_matrix() for w, p in terms)
+    np.testing.assert_allclose(recon, X, rtol=0.0, atol=1e-9)
+
+
 def test_birkhoff_rejects_non_doubly_stochastic():
     with pytest.raises(ValueError):
         birkhoff_decompose(np.array([[0.9, 0.0], [0.0, 0.9]]))

@@ -80,7 +80,7 @@ def test_solver_matches_dense_oracle():
         for kind in ("combinatorial", "normalized"):
             lap = assemble(graph, kind)
             K = min(8, n - 2)
-            iterative = eigs_smallest(lap, K, seed=0)
+            iterative = eigs_smallest(lap, K)
             oracle = dense_eig(lap.matrix.toarray(), source_kind=kind)
             np.testing.assert_allclose(
                 iterative.eigenvalues[1:], oracle.eigenvalues[1:K + 1],
@@ -97,16 +97,20 @@ def test_solver_matches_dense_oracle():
                 assert angle <= 1e-4
 
 
-def test_start_vector_seed_does_not_change_spectrum():
-    # a relabelled mesh on which block-iteration solvers converge at a rate
-    # that depends on the random start
-    mesh, _ = synth_transform(bent_cylinder(16, 40), "isometry_relabel", seed=133)
-    lap = assemble(build_graph(mesh, "gaussian"), "combinatorial")
-    oracle = scipy.linalg.eigvalsh(lap.matrix.toarray(), subset_by_index=[0, 50])
-    spectra = [eigs_smallest(lap, 50, seed=seed).eigenvalues for seed in (0, 1, 2)]
-    for vals in spectra:
-        np.testing.assert_allclose(vals, spectra[0], rtol=1e-10, atol=1e-12)
+def test_spectrum_does_not_depend_on_vertex_order():
+    # relabelled copies of one mesh: the start vector is fixed, so each
+    # vertex order meets it from a different direction (seed 133 stalled
+    # the block-iteration solver this one replaced)
+    spectra = []
+    for seed in (133, 134, 135):
+        mesh, _ = synth_transform(bent_cylinder(16, 40), "isometry_relabel", seed=seed)
+        lap = assemble(build_graph(mesh, "gaussian"), "combinatorial")
+        oracle = scipy.linalg.eigvalsh(lap.matrix.toarray(), subset_by_index=[0, 50])
+        vals = eigs_smallest(lap, 50).eigenvalues
         np.testing.assert_allclose(vals, oracle, rtol=1e-10, atol=1e-12)
+        spectra.append(vals)
+    for vals in spectra[1:]:
+        np.testing.assert_allclose(vals, spectra[0], rtol=1e-10, atol=1e-12)
 
 
 def test_method_reports_solver_path():
@@ -158,8 +162,8 @@ def test_deterministic_repeat(torus):
 
     graph = build_graph(torus, "gaussian")
     lap = asm(graph, "combinatorial")
-    s1 = eigs_smallest(lap, 10, seed=0)
-    s2 = eigs_smallest(lap, 10, seed=0)
+    s1 = eigs_smallest(lap, 10)
+    s2 = eigs_smallest(lap, 10)
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
 
@@ -229,13 +233,6 @@ def test_star_graph_normalized_not_centered():
     assert np.abs(U.sum(axis=0)).max() > 1e-3
     weighted = np.sqrt(graph.degrees) @ U
     assert np.abs(weighted).max() <= 1e-8
-
-
-def test_near_degenerate_flags():
-    spectrum = dense_eig(np.diag([0.0, 1.0, 1.0 + 1e-9, 5.0]))
-    assert spectrum.near_degenerate[1]
-    assert spectrum.near_degenerate[2]
-    assert not spectrum.near_degenerate[3]
 
 
 def test_dump_spectrum(tmp_path, p3):

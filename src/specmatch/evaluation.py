@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DisconnectedGraphError, SpecmatchError
-from .mesh_graph import Mesh
+from .mesh_graph import Mesh, _edge_matrix
 
 TRANSFORM_KINDS = ("isometry_relabel", "noise", "holes", "sampling", "local_scale")
 
@@ -52,27 +51,13 @@ class ErrorReport:
     n_unmatched: int
 
 
-def _edge_graph(mesh: Mesh) -> sparse.csr_matrix:
-    edges = mesh.edges()
-    lengths = np.linalg.norm(
-        mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
-    )
-    n = mesh.n_vertices
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    return sparse.csr_matrix(
-        (np.concatenate([lengths, lengths]), (rows, cols)), shape=(n, n)
-    )
-
-
 def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
     """Single- or multi-source shortest paths over edge-length weights."""
-    g = _edge_graph(mesh)
+    g = _edge_matrix(mesh)
     n_comp, _ = _csgraph_components(g, directed=False)
     if n_comp != 1:
         raise DisconnectedGraphError(n_comp)
-    dist = dijkstra(g, directed=False, indices=source)
-    return dist
+    return dijkstra(g, directed=False, indices=source)
 
 
 def geodesic_diameter(mesh: Mesh, sweeps: int = 20, seed: int = 0) -> float:
@@ -181,14 +166,8 @@ def _noise(mesh: Mesh, eps: float, rng) -> tuple[Mesh, GroundTruth]:
     return out, GroundTruth({i: i for i in range(mesh.n_vertices)})
 
 
-def _connected_on(faces: np.ndarray, n: int) -> bool:
-    if not len(faces):
-        return False
-    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    g = sparse.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    n_comp, _ = _csgraph_components(g, directed=True, connection="weak")
+def _connected(mesh: Mesh) -> bool:
+    n_comp, _ = _csgraph_components(_edge_matrix(mesh, np.ones_like), directed=False)
     return n_comp == 1
 
 
@@ -211,10 +190,9 @@ def _holes(mesh: Mesh, fraction: float, rng, attempts: int = 25):
             continue
         remap = -np.ones(mesh.n_vertices, dtype=int)
         remap[used] = np.arange(used.size)
-        new_faces = remap[faces]
-        if not _connected_on(new_faces, used.size):
+        out = Mesh(vertices=mesh.vertices[used], faces=remap[faces])
+        if not _connected(out):
             continue
-        out = Mesh(vertices=mesh.vertices[used], faces=new_faces)
         gt = {int(remap[v]): int(v) for v in used}
         return out, GroundTruth(gt)
     raise TransformError(
@@ -299,10 +277,10 @@ def _sampling(mesh: Mesh, ratio: float, rng):
     kept = np.array(sorted(set(range(n)) - removed), dtype=int)
     remap = -np.ones(n, dtype=int)
     remap[kept] = np.arange(kept.size)
-    new_face_arr = remap[np.array(sorted(faces), dtype=int)]
-    if not _connected_on(new_face_arr, kept.size):
+    new_faces = remap[np.array(sorted(faces), dtype=int)]
+    out = Mesh(vertices=mesh.vertices[kept], faces=new_faces)
+    if not _connected(out):
         raise TransformError("decimation disconnected the mesh")
-    out = Mesh(vertices=mesh.vertices[kept], faces=new_face_arr)
     gt = {int(remap[v]): int(v) for v in kept}
     return out, GroundTruth(gt)
 

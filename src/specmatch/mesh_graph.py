@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -16,8 +17,8 @@ from .errors import DegenerateFaceError, DisconnectedGraphError, MeshParseError
 class Mesh:
     """A triangle mesh: 3D vertex positions plus vertex-index triples.
 
-    Immutable after construction. Faces are validated on construction:
-    indices must be in range and no face may repeat a vertex.
+    Immutable after construction. Validated on construction: coordinates
+    must be finite, face indices in range, and no face may repeat a vertex.
     """
 
     vertices: np.ndarray  # (n, 3) float
@@ -31,11 +32,14 @@ class Mesh:
         n = v.shape[0]
         if n < 3:
             raise ValueError(f"mesh needs at least 3 vertices, got {n}")
+        if not np.isfinite(v).all():
+            raise ValueError("vertex coordinates must be finite")
         if f.size and (f.min() < 0 or f.max() >= n):
             raise ValueError("face index out of range")
-        for idx, face in enumerate(f):
-            if len(set(int(x) for x in face)) != 3:
-                raise DegenerateFaceError(idx, face)
+        repeats = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
+        if repeats.any():
+            idx = int(repeats.argmax())
+            raise DegenerateFaceError(idx, f[idx])
 
     @property
     def n_vertices(self) -> int:
@@ -50,14 +54,21 @@ class Mesh:
         f = self.faces
         pairs = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         pairs.sort(axis=1)
-        return np.unique(pairs, axis=0)
+        # i * n + j orders the pairs lexicographically, as np.unique(axis=0)
+        n = self.n_vertices
+        key = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        return np.column_stack([key // n, key % n])
 
     def edge_lengths(self) -> np.ndarray:
-        e = self.edges()
-        return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        """Euclidean lengths of :meth:`edges`, in the same order."""
+        return _lengths(self.vertices, self.edges())
 
     def mean_edge_length(self) -> float:
         return float(self.edge_lengths().mean())
+
+
+def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -91,21 +102,29 @@ class Graph:
         return cls(n=adj.shape[0], adjacency=adj)
 
 
+_FORMATS = ("off", "ply")
+
+
+def _format(path, format: str | None) -> str:
+    """``format`` checked, or inferred from the extension of ``path``."""
+    if format is None:
+        format = os.path.splitext(path)[1].lower().lstrip(".")
+        if format not in _FORMATS:
+            raise ValueError(f"cannot infer mesh format from {path!r}")
+    elif format not in _FORMATS:
+        raise ValueError(f"unsupported mesh format {format!r}")
+    return format
+
+
 def load_mesh(path, format: str | None = None) -> Mesh:
     """Read an OFF or ASCII-PLY triangle mesh.
 
     ``format`` is "off" or "ply"; inferred from the extension when omitted.
     """
-    if format is None:
-        ext = os.path.splitext(path)[1].lower().lstrip(".")
-        format = {"off": "off", "ply": "ply"}.get(ext)
-        if format is None:
-            raise ValueError(f"cannot infer mesh format from {path!r}")
-    if format == "off":
-        return _load_off(path)
-    if format == "ply":
-        return _load_ply_ascii(path)
-    raise ValueError(f"unsupported mesh format {format!r}")
+    header = {"off": _off_header, "ply": _ply_header}[_format(path, format)]
+    lines = _tokens(path)
+    elements, lineno = header(path, lines)
+    return _read_elements(path, lines, elements, lineno)
 
 
 def _tokens(path):
@@ -117,143 +136,134 @@ def _tokens(path):
                 yield lineno, line.split()
 
 
-def _load_off(path) -> Mesh:
-    it = _tokens(path)
-    try:
-        lineno, tok = next(it)
-    except StopIteration:
+def _count(token: str) -> int:
+    n = int(token)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
+def _off_header(path, lines):
+    """The declared ``[(element, count)]`` and the line number of the counts."""
+    lineno, tok = next(lines, (1, None))
+    if tok is None:
         raise MeshParseError(path, 1, "empty file")
     if tok == ["OFF"]:
-        try:
-            lineno, tok = next(it)
-        except StopIteration:
+        lineno, tok = next(lines, (lineno, None))
+        if tok is None:
             raise MeshParseError(path, lineno, "missing counts line")
     elif tok[0] == "OFF":
         tok = tok[1:]
     if len(tok) < 2:
         raise MeshParseError(path, lineno, "expected 'nv nf [ne]' counts")
     try:
-        nv, nf = int(tok[0]), int(tok[1])
+        return [("vertex", _count(tok[0])), ("face", _count(tok[1]))], lineno
     except ValueError:
         raise MeshParseError(path, lineno, f"bad counts line: {' '.join(tok)}")
 
-    vertices = np.empty((nv, 3))
-    for i in range(nv):
-        try:
-            lineno, tok = next(it)
-        except StopIteration:
-            raise MeshParseError(path, lineno, f"expected {nv} vertices, got {i}")
-        if len(tok) < 3:
-            raise MeshParseError(path, lineno, "vertex line needs 3 coordinates")
-        try:
-            vertices[i] = [float(x) for x in tok[:3]]
-        except ValueError:
-            raise MeshParseError(path, lineno, f"bad vertex line: {' '.join(tok)}")
 
-    faces = np.empty((nf, 3), dtype=int)
-    for i in range(nf):
-        try:
-            lineno, tok = next(it)
-        except StopIteration:
-            raise MeshParseError(path, lineno, f"expected {nf} faces, got {i}")
-        try:
-            count = int(tok[0])
-            idx = [int(x) for x in tok[1:1 + count]]
-        except (ValueError, IndexError):
-            raise MeshParseError(path, lineno, f"bad face line: {' '.join(tok)}")
-        if count != 3 or len(idx) != 3:
-            raise MeshParseError(path, lineno, "only triangular faces are supported")
-        if max(idx) >= nv or min(idx) < 0:
-            raise MeshParseError(path, lineno, f"face index out of range: {idx}")
-        faces[i] = idx
-    return Mesh(vertices=vertices, faces=faces)
-
-
-def _load_ply_ascii(path) -> Mesh:
-    it = _tokens(path)
-    lineno, tok = next(it, (1, []))
+def _ply_header(path, lines):
+    """The declared ``[(element, count)]`` and the line number of end_header."""
+    lineno, tok = next(lines, (1, []))
     if tok != ["ply"]:
         raise MeshParseError(path, lineno, "missing 'ply' magic")
-    elements = []  # header order of (name, count)
-    for lineno, tok in it:
+    elements = []
+    for lineno, tok in lines:
         if tok[0] == "format":
-            if tok[1] != "ascii":
+            if tok[1:2] != ["ascii"]:
                 raise MeshParseError(path, lineno, "only ascii PLY is supported")
         elif tok[0] == "element":
             try:
-                elements.append((tok[1], int(tok[2])))
+                elements.append((tok[1], _count(tok[2])))
             except (ValueError, IndexError):
                 raise MeshParseError(path, lineno, f"bad element line: {' '.join(tok)}")
         elif tok[0] == "end_header":
             break
-        elif tok[0] in ("property", "comment", "obj_info"):
-            continue
-        else:
+        elif tok[0] not in ("property", "comment", "obj_info"):
             raise MeshParseError(path, lineno, f"unexpected header line: {' '.join(tok)}")
     else:
         raise MeshParseError(path, lineno, "missing end_header")
-    counts = dict(elements)
-    nv, nf = counts.get("vertex"), counts.get("face")
-    if nv is None or nf is None:
+    if not {"vertex", "face"} <= {name for name, _ in elements}:
         raise MeshParseError(path, lineno, "header must declare vertex and face elements")
+    return elements, lineno
 
-    vertices = np.empty((nv, 3))
-    faces = np.empty((nf, 3), dtype=int)
+
+def _read_elements(path, lines, elements, lineno) -> Mesh:
+    """Parse the declared elements in order, skipping the lines of elements
+    other than vertex and face. ``lineno`` is the last header line."""
+    counts = dict(elements)
+    vertices = np.empty((counts["vertex"], 3))
+    faces = np.empty((counts["face"], 3), dtype=int)
     for name, count in elements:
-        for i in range(count):
-            try:
-                lineno, tok = next(it)
-            except StopIteration:
-                raise MeshParseError(path, lineno, f"truncated {name} data")
+        read = 0
+        for lineno, tok in itertools.islice(lines, count):
             if name == "vertex":
-                if len(tok) < 3:
-                    raise MeshParseError(path, lineno, "vertex line needs 3 coordinates")
-                try:
-                    vertices[i] = [float(x) for x in tok[:3]]
-                except ValueError:
-                    raise MeshParseError(path, lineno, f"bad vertex line: {' '.join(tok)}")
+                vertices[read] = _vertex(path, lineno, tok)
             elif name == "face":
-                try:
-                    cnt = int(tok[0])
-                    idx = [int(x) for x in tok[1:1 + cnt]]
-                except (ValueError, IndexError):
-                    raise MeshParseError(path, lineno, f"bad face line: {' '.join(tok)}")
-                if cnt != 3 or len(idx) != 3:
-                    raise MeshParseError(path, lineno, "only triangular faces are supported")
-                if max(idx) >= nv or min(idx) < 0:
-                    raise MeshParseError(path, lineno, f"face index out of range: {idx}")
-                faces[i] = idx
+                faces[read] = _face(path, lineno, tok, len(vertices))
+            read += 1
+        if read < count:
+            raise MeshParseError(
+                path, lineno, f"expected {count} {name} lines, got {read}"
+            )
     # trailing data after the declared elements is tolerated in the wild
     return Mesh(vertices=vertices, faces=faces)
 
 
+def _vertex(path, lineno, tok) -> list[float]:
+    if len(tok) < 3:
+        raise MeshParseError(path, lineno, "vertex line needs 3 coordinates")
+    try:
+        return [float(x) for x in tok[:3]]
+    except ValueError:
+        raise MeshParseError(path, lineno, f"bad vertex line: {' '.join(tok)}")
+
+
+def _face(path, lineno, tok, nv: int) -> list[int]:
+    try:
+        count = int(tok[0])
+        idx = [int(x) for x in tok[1:1 + count]]
+    except ValueError:
+        raise MeshParseError(path, lineno, f"bad face line: {' '.join(tok)}")
+    if count != 3 or len(idx) != 3:
+        raise MeshParseError(path, lineno, "only triangular faces are supported")
+    if max(idx) >= nv or min(idx) < 0:
+        raise MeshParseError(path, lineno, f"face index out of range: {idx}")
+    return idx
+
+
+_HEADERS = {
+    "off": "OFF\n{nv} {nf} 0\n",
+    "ply": (
+        "ply\nformat ascii 1.0\nelement vertex {nv}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "element face {nf}\nproperty list uchar int vertex_indices\nend_header\n"
+    ),
+}
+
+
 def save_mesh(mesh: Mesh, path, format: str | None = None) -> None:
     """Write a mesh as OFF or ASCII PLY (round-trips with :func:`load_mesh`)."""
-    if format is None:
-        ext = os.path.splitext(path)[1].lower().lstrip(".")
-        format = {"off": "off", "ply": "ply"}.get(ext)
-        if format is None:
-            raise ValueError(f"cannot infer mesh format from {path!r}")
+    header = _HEADERS[_format(path, format)]
     with open(path, "w") as fh:
-        if format == "off":
-            fh.write("OFF\n")
-            fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-            for v in mesh.vertices:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-        elif format == "ply":
-            fh.write("ply\nformat ascii 1.0\n")
-            fh.write(f"element vertex {mesh.n_vertices}\n")
-            fh.write("property float x\nproperty float y\nproperty float z\n")
-            fh.write(f"element face {mesh.n_faces}\n")
-            fh.write("property list uchar int vertex_indices\nend_header\n")
-            for v in mesh.vertices:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-        else:
-            raise ValueError(f"unsupported mesh format {format!r}")
+        fh.write(header.format(nv=mesh.n_vertices, nf=mesh.n_faces))
+        for v in mesh.vertices:
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for f in mesh.faces:
+            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+
+
+def _edge_matrix(mesh: Mesh, weight=None) -> sparse.csr_matrix:
+    """Symmetric n x n matrix with entries (i, j) and (j, i) of each edge
+    set to ``weight`` of the edge lengths, or to the lengths themselves."""
+    e = mesh.edges()
+    w = _lengths(mesh.vertices, e)
+    if weight is not None:
+        w = weight(w)
+    n = mesh.n_vertices
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    return sparse.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
 
 
 def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = None) -> Graph:
@@ -264,26 +274,22 @@ def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = No
     with the Euclidean edge length. When ``sigma`` is omitted the mean
     edge length is used, which keeps the weights scale-equivariant.
     """
-    edges = mesh.edges()
-    n = mesh.n_vertices
     if weighting == "uniform":
-        w = np.ones(edges.shape[0])
+        weight = np.ones_like
     elif weighting == "gaussian":
-        lengths = np.linalg.norm(
-            mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
-        )
-        if sigma is None:
-            sigma = float(lengths.mean())
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        w = np.exp(-(lengths ** 2) / sigma ** 2)
+        if sigma is not None and not 0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+        def weight(lengths):
+            s = float(lengths.mean()) if sigma is None else sigma
+            if s <= 0:
+                raise ValueError(f"sigma must be positive, got {s}")
+            return np.exp(-(lengths ** 2) / s ** 2)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
 
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    adj = sparse.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
-    graph = Graph(n=n, adjacency=adj)
+    adj = _edge_matrix(mesh, weight)
+    graph = Graph(n=mesh.n_vertices, adjacency=adj)
 
     n_comp, _ = _csgraph_components(adj, directed=False)
     if n_comp != 1:

@@ -35,8 +35,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.weighting not in ("uniform", "gaussian"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0.0 < self.theta < 1.0:

@@ -122,7 +122,7 @@ def eigs_smallest(
     vals = np.concatenate([[float(null[:, 0] @ (A @ null[:, 0]))], vals])
     vecs = np.hstack([null, vecs])
     residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
-    if residuals.max() > tol:
+    if not residuals.max() <= tol:   # NaN residuals fail too
         raise NonConvergenceError(residuals.tolist(), tol)
     return Spectrum(
         eigenvalues=vals,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specmatch.cli import main
-from specmatch.mesh_graph import save_mesh
+from specmatch.mesh_graph import load_mesh, save_mesh
 
 
 @pytest.fixture(scope="module")
@@ -25,31 +25,36 @@ def test_selftest_passes(capsys):
 
 
 def test_synth_match_eval_round_trip(tmp_path, torus_off, capsys):
-    mesh_b = tmp_path / "relabel.off"
-    gt_path = tmp_path / "gt.tsv"
-    rc = main([
-        "synth", torus_off, "--kind", "isometry_relabel", "--seed", "3",
-        "--out-mesh", str(mesh_b), "--out-gt", str(gt_path),
-    ])
-    assert rc == 0
+    # the same torus as OFF and as PLY, so the CLI reads and writes both
+    torus_ply = str(tmp_path / "torus.ply")
+    save_mesh(load_mesh(torus_off), torus_ply)
+    for ref in (torus_off, torus_ply):
+        ext = ref.rsplit(".", 1)[1]
+        mesh_b = tmp_path / f"relabel.{ext}"
+        gt_path = tmp_path / f"gt_{ext}.tsv"
+        rc = main([
+            "synth", ref, "--kind", "isometry_relabel", "--seed", "3",
+            "--out-mesh", str(mesh_b), "--out-gt", str(gt_path),
+        ])
+        assert rc == 0
 
-    corr_path = tmp_path / "corr.tsv"
-    report_path = tmp_path / "report.json"
-    rc = main([
-        "match", torus_off, str(mesh_b), "--k", "8",
-        "--out-corr", str(corr_path), "--out-report", str(report_path),
-    ])
-    assert rc == 0
-    report = json.loads(report_path.read_text())
-    assert report["em"]["n_unmatched"] == 0
+        corr_path = tmp_path / f"corr_{ext}.tsv"
+        report_path = tmp_path / f"report_{ext}.json"
+        rc = main([
+            "match", ref, str(mesh_b), "--k", "8",
+            "--out-corr", str(corr_path), "--out-report", str(report_path),
+        ])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["em"]["n_unmatched"] == 0
 
-    eval_path = tmp_path / "eval.json"
-    rc = main(["eval", torus_off, str(corr_path), str(gt_path),
-               "--out", str(eval_path)])
-    assert rc == 0
-    scores = json.loads(eval_path.read_text())
-    assert scores["mean"] == 0.0
-    assert scores["n_matched"] == 384
+        eval_path = tmp_path / f"eval_{ext}.json"
+        rc = main(["eval", ref, str(corr_path), str(gt_path),
+                   "--out", str(eval_path)])
+        assert rc == 0
+        scores = json.loads(eval_path.read_text())
+        assert scores["mean"] == 0.0
+        assert scores["n_matched"] == 384
 
 
 def test_eval_ground_truth_correspondence_is_perfect(tmp_path, torus_off):

@@ -10,11 +10,33 @@ from specmatch.mesh_graph import (
     load_mesh,
     save_mesh,
 )
+from specmatch.shapes import bumpy_torus
 
 from conftest import tetrahedron_mesh
 
 TETRA_OFF = """OFF
 4 4 0
+0 0 0
+1 0 0
+0.5 1 0
+0.5 0.5 1
+3 0 1 2
+3 0 1 3
+3 0 2 3
+3 1 2 3
+"""
+
+# the tetrahedron as ASCII PLY: header on lines 1-9, vertices on 10-13,
+# faces on 14-17
+TETRA_PLY = """ply
+format ascii 1.0
+element vertex 4
+property float x
+property float y
+property float z
+element face 4
+property list uchar int vertex_indices
+end_header
 0 0 0
 1 0 0
 0.5 1 0
@@ -32,6 +54,15 @@ def test_load_off_tetrahedron(tmp_path):
     mesh = load_mesh(str(path))
     assert mesh.n_vertices == 4
     assert mesh.n_faces == 4
+    # the same tetrahedron as PLY, with an element between vertex and face
+    # that the reader skips, loads to the same arrays
+    ply = tmp_path / "tetra.ply"
+    ply.write_text(TETRA_PLY.replace(
+        "element face 4", "element edge 2\nproperty int vertex1\n"
+        "property int vertex2\nelement face 4").replace("3 0 1 2", "0 1\n2 3\n3 0 1 2"))
+    from_ply = load_mesh(str(ply))
+    np.testing.assert_array_equal(from_ply.vertices, mesh.vertices)
+    np.testing.assert_array_equal(from_ply.faces, mesh.faces)
 
 
 def test_load_off_truncated_vertices(tmp_path):
@@ -40,6 +71,54 @@ def test_load_off_truncated_vertices(tmp_path):
     path.write_text(bad)
     with pytest.raises(MeshParseError):
         load_mesh(str(path))
+
+
+def _lines(text, stop):
+    """The first ``stop`` lines of ``text``."""
+    return "".join(text.splitlines(keepends=True)[:stop])
+
+
+@pytest.mark.parametrize("ext, text, line", [
+    pytest.param("off", "", 1, id="off-empty"),
+    pytest.param("off", "# only a comment\n", 1, id="off-comment-only"),
+    pytest.param("off", "OFF\n", 1, id="off-missing-counts"),
+    pytest.param("off", "OFF\n4\n", 2, id="off-short-counts"),
+    pytest.param("off", TETRA_OFF.replace("4 4 0", "4 x 0"), 2, id="off-bad-count"),
+    pytest.param("off", TETRA_OFF.replace("4 4 0", "-4 4 0"), 2, id="off-negative-count"),
+    pytest.param("off", _lines(TETRA_OFF, 4), 4, id="off-truncated-vertices"),
+    pytest.param("off", _lines(TETRA_OFF, 9), 9, id="off-truncated-faces"),
+    pytest.param("off", TETRA_OFF.replace("0.5 1 0", "0.5 x 0"), 5, id="off-bad-float"),
+    pytest.param("off", TETRA_OFF.replace("0.5 1 0", "0.5 1"), 5, id="off-short-vertex"),
+    pytest.param("off", TETRA_OFF.replace("3 0 2 3", "3 0 b 3"), 9, id="off-bad-face"),
+    pytest.param("off", TETRA_OFF.replace("3 0 2 3", "4 0 2 3 1"), 9, id="off-quad"),
+    pytest.param("off", TETRA_OFF.replace("3 0 2 3", "3 0 2 4"), 9, id="off-index-range"),
+    pytest.param("ply", "", 1, id="ply-empty"),
+    pytest.param("ply", TETRA_OFF, 1, id="ply-missing-magic"),
+    pytest.param("ply", TETRA_PLY.replace("ascii", "binary_little_endian"), 2,
+                 id="ply-binary"),
+    pytest.param("ply", TETRA_PLY.replace("format ascii 1.0", "format"), 2,
+                 id="ply-format-without-value"),
+    pytest.param("ply", TETRA_PLY.replace("vertex 4", "vertex four"), 3,
+                 id="ply-bad-element"),
+    pytest.param("ply", TETRA_PLY.replace("vertex 4", "vertex -4"), 3,
+                 id="ply-negative-count"),
+    pytest.param("ply", TETRA_PLY.replace("property float y", "colour red"), 5,
+                 id="ply-unexpected-header-line"),
+    pytest.param("ply", _lines(TETRA_PLY, 8), 8, id="ply-missing-end-header"),
+    pytest.param("ply", TETRA_PLY.replace("element face 4\n", "").replace(
+        "property list uchar int vertex_indices\n", ""), 7, id="ply-no-face-element"),
+    pytest.param("ply", _lines(TETRA_PLY, 11), 11, id="ply-truncated-vertices"),
+    pytest.param("ply", _lines(TETRA_PLY, 16), 16, id="ply-truncated-faces"),
+    pytest.param("ply", TETRA_PLY.replace("0.5 1 0", "0.5 x 0"), 12, id="ply-bad-float"),
+    pytest.param("ply", TETRA_PLY.replace("3 0 2 3", "4 0 2 3 1"), 16, id="ply-quad"),
+    pytest.param("ply", TETRA_PLY.replace("3 0 2 3", "3 0 2 4"), 16, id="ply-index-range"),
+])
+def test_malformed_mesh_names_the_line(tmp_path, ext, text, line):
+    path = tmp_path / f"bad.{ext}"
+    path.write_text(text)
+    with pytest.raises(MeshParseError) as exc:
+        load_mesh(str(path))
+    assert exc.value.line == line
 
 
 def test_ply_cube_round_trip(tmp_path):
@@ -67,6 +146,17 @@ def test_off_round_trip(tmp_path, tetra):
     loaded = load_mesh(str(path))
     np.testing.assert_allclose(loaded.vertices, tetra.vertices)
     np.testing.assert_array_equal(loaded.faces, tetra.faces)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    torus = bumpy_torus(16, 16)
+    v = torus.vertices.copy()
+    v[5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(vertices=v, faces=torus.faces)
+    with pytest.raises(ValueError, match="finite"):
+        build_graph(torus, "gaussian", sigma=bad)
 
 
 def test_degenerate_face_rejected():

@@ -16,6 +16,8 @@ def test_config_validation():
         PipelineConfig(embedding="sm3")
     with pytest.raises(ValueError):
         PipelineConfig(pi_out=1.0)
+    with pytest.raises(ValueError):
+        PipelineConfig(sigma=float("nan"))
     PipelineConfig()  # defaults are valid
 
 

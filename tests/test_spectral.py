@@ -5,7 +5,7 @@ from scipy.sparse import linalg as splinalg
 
 from specmatch.errors import DisconnectedGraphError, NonConvergenceError
 from specmatch.evaluation import synth_transform
-from specmatch.laplacian import assemble
+from specmatch.laplacian import LaplacianMatrix, assemble
 from specmatch.mesh_graph import Graph, build_graph
 from specmatch.shapes import bent_cylinder
 from specmatch.spectral import (
@@ -131,6 +131,16 @@ def test_arpack_failure_is_nonconvergence(monkeypatch):
     monkeypatch.setattr(splinalg, "eigsh", no_convergence)
     with pytest.raises(NonConvergenceError):
         eigs_smallest(lap, 8)
+
+
+def test_nan_laplacian_is_nonconvergence():
+    # NaN residuals must fail the residual check, not slip past "> tol"
+    lap = assemble(random_connected_graph(np.random.default_rng(5), 40), "combinatorial")
+    matrix = lap.matrix.copy()
+    matrix.data[3] = np.nan
+    bad = LaplacianMatrix(kind="combinatorial", matrix=matrix, degrees=lap.degrees)
+    with pytest.raises(NonConvergenceError):
+        eigs_smallest(bad, 6)
 
 
 def test_orthonormal_columns():

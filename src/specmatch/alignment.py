@@ -119,27 +119,18 @@ def align_embeddings(
     For every pair (k, l) both orientations of the second shape's
     eigenvector are scored over shared symmetric bins; the assignment
     solver extracts the best pairing and matched pairs scoring below the
-    threshold are dropped.
+    threshold are dropped. Scores are those of ``eigensignature`` and
+    ``histogram_similarity``; an exact tie between the two orientations
+    resolves to +1.
     """
     U = np.asarray(U, dtype=float)
     U_other = np.asarray(U_other, dtype=float)
     if U.ndim != 2 or U_other.ndim != 2 or U.shape[1] != U_other.shape[1]:
         raise ValueError("eigenvector blocks must share the same column count K")
-    K = U.shape[1]
-
-    scores = np.empty((K, K))
-    sign_table = np.empty((K, K))
-    for k in range(K):
-        u = U[:, k]
-        for l in range(K):
-            v = U_other[:, l]
-            a = max(np.abs(u).max(), np.abs(v).max())
-            h_u = eigensignature(u, B=bins, limit=a)
-            c_pos = histogram_similarity(h_u, eigensignature(v, B=bins, limit=a))
-            c_neg = histogram_similarity(h_u, eigensignature(-v, B=bins, limit=a))
-            scores[k, l] = max(c_pos, c_neg)
-            sign_table[k, l] = 1.0 if c_pos >= c_neg else -1.0
-
+    if min(U.shape[0], U_other.shape[0]) < 2:
+        raise ValueError("eigenvector must have at least 2 components")
+    scores, sign_table = _pair_scores(U, U_other, bins)
+    K = scores.shape[0]
     perm = hungarian(scores, sense="max")
     matched_scores = scores[np.arange(K), perm.mapping]
     signs = sign_table[np.arange(K), perm.mapping]
@@ -155,6 +146,79 @@ def align_embeddings(
         kept=kept,
         scores=matched_scores,
     )
+
+
+def _pair_scores(U: np.ndarray, U_other: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """K x K tables of the better orientation's score and its sign, equal to
+    what ``eigensignature`` and ``histogram_similarity`` give pair by pair."""
+    K = U.shape[1]
+    # A pair's shared limit max(m_k, m'_l) is one column's own largest
+    # component, so each column in turn builds the bins of the pairs it owns
+    # and counts them in one pass: u_k owns the l with m'_l <= m_k, and v_l
+    # the k with m_k < m'_l. Sorted rows only make the binning faster.
+    su = np.sort(U, axis=0).T
+    sv = np.sort(U_other, axis=0).T
+    sv_neg = -sv[:, ::-1]
+    m_u = np.abs(U).max(axis=0)
+    m_v = np.abs(U_other).max(axis=0)
+    # per pair: u.v, u.(-v), |u|^2, |v|^2, |-v|^2 of the centred counts
+    sums = np.zeros((5, K, K), dtype=np.int64)
+    for k in range(K):
+        ls = np.flatnonzero(m_v <= m_u[k])
+        c = _centred_counts(m_u[k], bins, su[k:k + 1], sv[ls], sv_neg[ls])
+        _record(sums, k, ls, c[0], c[1:ls.size + 1], c[ls.size + 1:])
+    for l in range(K):
+        ks = np.flatnonzero(m_u < m_v[l])
+        c = _centred_counts(m_v[l], bins, su[ks], sv[l:l + 1], sv_neg[l:l + 1])
+        _record(sums, ks, l, c[:ks.size], c[ks.size], c[ks.size + 1])
+
+    dot_pos, dot_neg, norm_u, norm_pos, norm_neg = sums
+    c_pos = _pearson(dot_pos, norm_u, norm_pos)
+    c_neg = _pearson(dot_neg, norm_u, norm_neg)
+    scores = np.maximum(c_pos, c_neg)
+    # equal integer sums give equal floats, so an exact tie resolves to +1
+    sign_table = np.where(c_pos >= c_neg, 1.0, -1.0)
+    return scores, sign_table
+
+
+def _record(sums, k, l, hu, hp, hn) -> None:
+    """Store the five sums of the pairs (k, l) from their centred counts."""
+    for table, (x, y) in zip(sums, ((hu, hp), (hu, hn), (hu, hu), (hp, hp), (hn, hn))):
+        table[k, l] = (x * y).sum(axis=-1)
+
+
+def _centred_counts(limit: float, bins: int, *blocks: np.ndarray) -> np.ndarray:
+    """``B*c - n`` for the histogram of each row of ``blocks``, over the bins
+    ``eigensignature`` builds for ``limit``; one row per histogram.
+
+    B*c - n is n*B times the mean-centred mass, so Pearson correlations
+    computed from it equal those of ``histogram_similarity``. Every entry is
+    at most B*n in magnitude, so a dot product or squared norm over B bins
+    stays below B*(B*n)^2, inside int64 (9.2e18) up to n ~ 3e6 at B = 100.
+    """
+    a = float(limit)
+    if a <= 0:
+        a = 1.0
+    edges = np.linspace(-a, a, bins + 1)
+    sizes = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in blocks])
+    # np.histogram's rule for array bins: bin i holds edges[i] <= x <
+    # edges[i+1], and the last bin is closed. Every x lies in [-a, a].
+    idx = np.searchsorted(edges, np.concatenate([b.ravel() for b in blocks]),
+                          side="right") - 1
+    np.minimum(idx, bins - 1, out=idx)
+    idx += bins * np.repeat(np.arange(sizes.size), sizes)
+    counts = np.bincount(idx, minlength=bins * sizes.size).reshape(sizes.size, bins)
+    return bins * counts - sizes[:, None]
+
+
+def _pearson(dot: np.ndarray, norm1: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    """Correlations from exact integer sums, with ``histogram_similarity``'s
+    rule for a flat histogram (zero norm): 1 when both are flat, since the
+    masses are then equal, and 0 otherwise."""
+    denom = np.sqrt(norm1.astype(float) * norm2)
+    r = np.divide(dot, denom, out=np.zeros(dot.shape), where=denom > 0)
+    r[(norm1 == 0) & (norm2 == 0)] = 1.0
+    return np.clip(r, -1.0, 1.0)
 
 
 def alignment_report(alignment: EigenAlignment) -> str:

@@ -89,7 +89,11 @@ def e_step(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> tuple[np.nda
     small variances do not underflow. A row's log-likelihood is its shift
     plus the log of its normalizer plus log pi_in - K/2 log(2 pi sigma).
     """
-    D2 = _sq_distances(X, X_data, params.R)
+    return _posterior(_sq_distances(X, X_data, params.R), params)
+
+
+def _posterior(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
+    """``e_step``'s posterior and log-likelihood from its distance matrix."""
     E = -D2 / (2.0 * params.sigma)
     if params.uniform_const > 0.0:
         log_u = np.log(params.uniform_const) + (params.K / 2.0) * np.log(params.sigma)
@@ -190,12 +194,6 @@ class Correspondence:
     converged: bool = False               # False when max_iter stopped EM
 
 
-def initial_sigma(X: np.ndarray, X_data: np.ndarray, R0: np.ndarray) -> float:
-    """Mean over data points of the squared distance to the nearest center."""
-    D2 = _sq_distances(X, X_data, R0)
-    return float(D2.min(axis=1).mean())
-
-
 def em_register(
     X: np.ndarray,
     X_data: np.ndarray,
@@ -209,7 +207,7 @@ def em_register(
     until the relative log-likelihood change drops below ``opts.tol`` or
     ``opts.max_iter`` is hit, then accepts the assignments whose
     posterior strictly exceeds ``MAP_THRESHOLD``. Each iteration builds
-    one distance matrix, in the e-step.
+    one distance matrix, in the e-step, and the final e-step one more.
     """
     X = np.asarray(X, dtype=float)
     X_data = np.asarray(X_data, dtype=float)
@@ -222,7 +220,12 @@ def em_register(
         raise ValueError("the data point set X_data is empty")
     R0 = np.asarray(R0, dtype=float)
 
-    params = make_params(R0, initial_sigma(X, X_data, R0), n, pi_out=opts.pi_out)
+    # the starting variance is the mean squared distance from each data
+    # point to its nearest center, taken from the first e-step's matrix
+    D2 = _sq_distances(X, X_data, R0)
+    params = make_params(R0, float(D2.min(axis=1).mean()), n, pi_out=opts.pi_out)
+    posterior, ll = _posterior(D2, params)
+    del D2
 
     trace = []
     degenerate = False
@@ -230,7 +233,8 @@ def em_register(
     prev_ll = -np.inf
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        posterior, ll = e_step(X, X_data, params)
+        if iterations > 1:
+            posterior, ll = e_step(X, X_data, params)
         if not np.isfinite(ll):
             raise LikelihoodError(f"non-finite log-likelihood at iteration {iterations}")
         trace.append(ll)

@@ -51,22 +51,28 @@ class ErrorReport:
     n_unmatched: int
 
 
-def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
-    """Single- or multi-source shortest paths over edge-length weights."""
+def _geodesic_graph(mesh: Mesh):
+    """Edge-length matrix of a mesh, checked to be connected."""
     g = _edge_matrix(mesh)
     n_comp, _ = _csgraph_components(g, directed=False)
     if n_comp != 1:
         raise DisconnectedGraphError(n_comp)
-    return dijkstra(g, directed=False, indices=source)
+    return g
+
+
+def _sweep_sources(n: int, sweeps: int = 20, seed: int = 0) -> np.ndarray:
+    """The random sources of a diameter estimate."""
+    return np.random.default_rng(seed).choice(n, size=min(sweeps, n), replace=False)
+
+
+def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
+    """Single- or multi-source shortest paths over edge-length weights."""
+    return dijkstra(_geodesic_graph(mesh), directed=False, indices=source)
 
 
 def geodesic_diameter(mesh: Mesh, sweeps: int = 20, seed: int = 0) -> float:
     """Max distance over a set of random-source sweeps (diameter estimate)."""
-    rng = np.random.default_rng(seed)
-    n = mesh.n_vertices
-    sources = rng.choice(n, size=min(sweeps, n), replace=False)
-    dist = geodesic_distances(mesh, sources)
-    return float(dist.max())
+    return float(geodesic_distances(mesh, _sweep_sources(mesh.n_vertices, sweeps, seed)).max())
 
 
 def registration_error(
@@ -75,22 +81,25 @@ def registration_error(
     """Score matched vertices by geodesic distance to their true targets.
 
     Errors are measured on the first (reference) mesh and reported as
-    percent of its geodesic diameter. Unmatched vertices are excluded
-    from the statistics but counted.
+    percent of its geodesic diameter (by default ``geodesic_diameter``'s
+    estimate). Unmatched vertices are excluded from the statistics but
+    counted.
     """
     matches = corr.map_matches if hasattr(corr, "map_matches") else list(corr)
     if not matches:
         raise ValueError("empty match set")
-    if diameter is None:
-        diameter = geodesic_diameter(mesh_a)
 
     scored = [(j, i, gt.pairs[j]) for j, i in matches if j in gt.pairs]
-    wrong_sources = sorted({true_i for _, i, true_i in scored if i != true_i})
+    wrong_sources = [true_i for _, i, true_i in scored if i != true_i]
+    # one Dijkstra run serves the diameter sweep and the wrong matches
+    sweep = _sweep_sources(mesh_a.n_vertices) if diameter is None else np.empty(0, int)
+    sources = np.union1d(sweep, wrong_sources).astype(int)
     dist_rows = {}
-    if wrong_sources:
-        dist = geodesic_distances(mesh_a, np.array(wrong_sources))
-        dist = np.atleast_2d(dist)
-        dist_rows = {s: dist[k] for k, s in enumerate(wrong_sources)}
+    if sources.size:
+        dist = dijkstra(_geodesic_graph(mesh_a), directed=False, indices=sources)
+        dist_rows = dict(zip(sources.tolist(), dist))
+    if diameter is None:
+        diameter = float(dist[np.searchsorted(sources, sweep)].max())
 
     per_vertex = {}
     for j, i, true_i in scored:

@@ -287,6 +287,10 @@ def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = No
             return np.exp(-(lengths ** 2) / s ** 2)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
+    if mesh.n_faces == 0:
+        # no edges: every vertex is its own component (and there is no
+        # edge length to take a mean of)
+        raise DisconnectedGraphError(mesh.n_vertices)
 
     adj = _edge_matrix(mesh, weight)
     graph = Graph(n=mesh.n_vertices, adjacency=adj)

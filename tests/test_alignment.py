@@ -11,7 +11,9 @@ from specmatch.alignment import (
     histogram_similarity,
     scott_bin_count,
     scott_bin_width,
+    _centred_counts,
 )
+from specmatch.matutil import hungarian
 from specmatch.laplacian import assemble
 from specmatch.spectral import dense_eig
 
@@ -176,3 +178,111 @@ def test_alignment_report_format():
     assert lines[0].startswith("idx")
     assert len(lines) == 1 + res.K
     assert all("yes" in line for line in lines[1:])
+
+
+def loop_alignment(U, V, threshold, bins):
+    """The pair-by-pair double loop over the public signature functions:
+    the reference the batched scoring is held to. Returns the permutation,
+    signs, kept set and scores, plus c_pos - c_neg of each matched pair."""
+    K = U.shape[1]
+    scores = np.empty((K, K))
+    signs = np.empty((K, K))
+    margin = np.empty((K, K))
+    for k in range(K):
+        u = U[:, k]
+        for l in range(K):
+            v = V[:, l]
+            a = max(np.abs(u).max(), np.abs(v).max())
+            h_u = eigensignature(u, B=bins, limit=a)
+            c_pos = histogram_similarity(h_u, eigensignature(v, B=bins, limit=a))
+            c_neg = histogram_similarity(h_u, eigensignature(-v, B=bins, limit=a))
+            scores[k, l] = max(c_pos, c_neg)
+            signs[k, l] = 1.0 if c_pos >= c_neg else -1.0
+            margin[k, l] = c_pos - c_neg
+    perm = hungarian(scores, sense="max").mapping
+    rows = np.arange(K)
+    matched = scores[rows, perm]
+    return perm, signs[rows, perm], np.flatnonzero(matched >= threshold), matched, margin[rows, perm]
+
+
+def assert_matches_loop(U, V, threshold=0.7, bins=100):
+    perm, signs, kept, scores, margin = loop_alignment(U, V, threshold, bins)
+    res = align_embeddings(U, V, threshold=threshold, bins=bins)
+    np.testing.assert_array_equal(res.permutation, perm)
+    np.testing.assert_array_equal(res.kept, kept)
+    np.testing.assert_allclose(res.scores, scores, rtol=0.0, atol=1e-12)
+    decided = np.abs(margin) > 1e-12
+    np.testing.assert_array_equal(res.signs[decided], signs[decided])
+    return res
+
+
+def scrambled(U, rng):
+    perm = rng.permutation(U.shape[1])
+    signs = rng.choice([-1.0, 1.0], size=U.shape[1])
+    V = np.empty_like(U)
+    V[:, perm] = signs * U
+    return V
+
+
+@pytest.mark.parametrize("bins", [20, 100, 400])
+def test_align_matches_loop_scrambled(bins):
+    rng = np.random.default_rng(20)
+    U = spectrum_block(20, K=8)
+    assert_matches_loop(U, scrambled(U, rng), bins=bins)
+
+
+@pytest.mark.parametrize("bins", [20, 100, 400])
+def test_align_matches_loop_noisy_unequal_sizes(bins):
+    # the second block keeps 263 of 300 rows, jittered, so n_u != n_v
+    rng = np.random.default_rng(21)
+    U = spectrum_block(21, K=8)
+    rows = np.sort(rng.choice(U.shape[0], 263, replace=False))
+    V = scrambled(U[rows] + 0.02 * U.std() * rng.standard_normal((263, 8)), rng)
+    assert_matches_loop(U, V, threshold=0.3, bins=bins)
+    assert_matches_loop(V, U, threshold=0.3, bins=bins)
+
+
+@pytest.mark.parametrize("bins", [20, 100, 400])
+def test_counts_on_edges_match_np_histogram(bins):
+    # every value sits on a bin edge, the first and last edges included
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    rng = np.random.default_rng(22)
+    u = rng.permutation(np.concatenate([edges, edges[1:-1:3]]))
+    v = 0.5 * edges[rng.integers(0, bins + 1, size=77)]
+    c = _centred_counts(1.0, bins, u[None], np.vstack([v, -v]))
+    for row, x in zip(c, (u, v, -v)):
+        counts, _ = np.histogram(x, bins=edges)
+        np.testing.assert_array_equal(row, bins * counts - x.size)
+
+
+def test_align_matches_loop_with_edge_values_and_zero_column():
+    # columns with values on the shared bin edges, and an all-zero column
+    # in each block, whose pair with the other takes the limit 1.0
+    rng = np.random.default_rng(23)
+    bins = 20
+    U = spectrum_block(23, K=5)
+    V = scrambled(U, rng)
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    U[:, 0] = edges[rng.integers(0, bins + 1, size=U.shape[0])]
+    U[:2, 0] = [-1.0, 1.0]
+    V[:, 1] = edges[rng.integers(0, bins + 1, size=V.shape[0])]
+    U[:, 4] = 0.0
+    V[:, 2] = 0.0
+    res = assert_matches_loop(U, V, threshold=-1.0, bins=bins)
+    np.testing.assert_array_equal(res.permutation[4], 2)
+
+
+def test_exact_sign_tie_resolves_to_plus_one():
+    # u's histogram is mirror-symmetric, so v and -v correlate with it
+    # exactly equally; the loop's float rounding picks -1 on this input
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(100)
+    U = np.concatenate([x, -x])[:, None]
+    V = rng.exponential(size=200)[:, None] - 0.5
+    c = _centred_counts(np.abs(V).max(), 20, U.T)
+    np.testing.assert_array_equal(c[0], c[0][::-1])
+    _, loop_signs, _, loop_scores, margin = loop_alignment(U, V, -1.0, 20)
+    assert abs(margin[0]) < 1e-12
+    res = align_embeddings(U, V, threshold=-1.0, bins=20)
+    assert res.signs[0] == 1.0
+    np.testing.assert_allclose(res.scores, loop_scores, rtol=0.0, atol=1e-12)

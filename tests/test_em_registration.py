@@ -10,7 +10,6 @@ from specmatch.em_registration import (
     e_step,
     em_register,
     expected_complete_log_likelihood,
-    initial_sigma,
     log_likelihood,
     m_step,
     make_params,
@@ -137,9 +136,13 @@ def test_m_step_degenerate_flag():
 
 
 def test_initial_sigma_nearest_center():
+    # EM starts from the mean squared distance to the nearest center (1.0
+    # here), and its first likelihood is the e-step's at that variance
     X = np.array([[0.0, 4.0]])
     data = np.array([[1.0, 3.0]])
-    assert initial_sigma(X, data, np.eye(1)) == pytest.approx(1.0)
+    corr = em_register(X, data, np.eye(1), EmOptions(max_iter=1))
+    _, ll = e_step(X, data, make_params(np.eye(1), 1.0, n=2, pi_out=0.01))
+    assert corr.log_likelihood_trace[0] == ll
 
 
 def test_em_identity_registration():
@@ -249,8 +252,9 @@ def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
     data = X + 0.02 * rng.standard_normal((K, n))
     corr = em_register(X, data, np.eye(K), EmOptions(pi_out=0.05))
     assert corr.iterations > 2
-    # one per e-step, plus the initial variance and the final e-step
-    assert len(calls) <= corr.iterations + 2
+    # one per e-step, the first of which also gives the initial variance,
+    # plus the final e-step
+    assert len(calls) <= corr.iterations + 1
 
 
 def test_em_reports_convergence():

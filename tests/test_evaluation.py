@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specmatch import evaluation
 from specmatch.errors import DisconnectedGraphError
 from specmatch.evaluation import (
     GroundTruth,
@@ -112,6 +113,23 @@ def test_registration_error_single_miss():
     assert report.per_vertex[0] == pytest.approx(1.0 / diam * 100.0)
     assert report.median == 0.0
     assert report.max == pytest.approx(1.0 / diam * 100.0)
+
+
+def test_registration_error_one_edge_matrix(monkeypatch):
+    # the diameter sweep and the wrong matches share one matrix and one run
+    mesh = path3_mesh()
+    gt = GroundTruth({i: i for i in range(5)})
+    corr = [(0, 1), (2, 3)] + [(i, i) for i in (1, 3, 4)]
+    expected = registration_error(corr, gt, mesh, diameter=geodesic_diameter(mesh))
+    calls = {"_edge_matrix": 0, "dijkstra": 0}
+    for name in calls:
+        def counting(*args, _original=getattr(evaluation, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counting)
+    report = registration_error(corr, gt, mesh)
+    assert calls == {"_edge_matrix": 1, "dijkstra": 1}
+    assert report == expected
 
 
 def test_registration_error_empty_rejected():

@@ -227,6 +227,15 @@ def test_disconnected_mesh_rejected():
     assert exc.value.n_components == 2
 
 
+@pytest.mark.parametrize("weighting", ["uniform", "gaussian"])
+def test_faceless_mesh_rejected(weighting):
+    # no edges to weight: rejected before any weighting, without a warning
+    mesh = Mesh(vertices=np.eye(3), faces=np.empty((0, 3), dtype=int))
+    with pytest.raises(DisconnectedGraphError) as exc:
+        build_graph(mesh, weighting)
+    assert exc.value.n_components == 3
+
+
 def test_connected_components_k4(tetra):
     graph = build_graph(tetra, "uniform")
     comps = connected_components(graph)

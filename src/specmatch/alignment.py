@@ -59,13 +59,19 @@ def eigensignature(u, B: int = DEFAULT_BINS, limit: float | None = None) -> Eige
     u = np.asarray(u, dtype=float).ravel()
     if u.size < 2:
         raise ValueError("eigenvector must have at least 2 components")
-    a = float(np.abs(u).max()) if limit is None else float(limit)
-    if a <= 0:
-        a = 1.0
-    edges = np.linspace(-a, a, B + 1)
+    edges = _bin_edges(np.abs(u).max() if limit is None else limit, B)
     counts, _ = np.histogram(u, bins=edges)
     mass = counts / u.size
     return EigenSignature(bin_edges=edges, mass=mass)
+
+
+def _bin_edges(limit: float, B: int) -> np.ndarray:
+    """B+1 edges over [-limit, limit]; a limit <= 0 (an all-zero vector)
+    becomes 1."""
+    a = float(limit)
+    if a <= 0:
+        a = 1.0
+    return np.linspace(-a, a, B + 1)
 
 
 def histogram_similarity(H1: EigenSignature, H2: EigenSignature) -> float:
@@ -196,13 +202,10 @@ def _centred_counts(limit: float, bins: int, *blocks: np.ndarray) -> np.ndarray:
     at most B*n in magnitude, so a dot product or squared norm over B bins
     stays below B*(B*n)^2, inside int64 (9.2e18) up to n ~ 3e6 at B = 100.
     """
-    a = float(limit)
-    if a <= 0:
-        a = 1.0
-    edges = np.linspace(-a, a, bins + 1)
+    edges = _bin_edges(limit, bins)
     sizes = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in blocks])
     # np.histogram's rule for array bins: bin i holds edges[i] <= x <
-    # edges[i+1], and the last bin is closed. Every x lies in [-a, a].
+    # edges[i+1], and the last bin is closed. No x lies outside the edges.
     idx = np.searchsorted(edges, np.concatenate([b.ravel() for b in blocks]),
                           side="right") - 1
     np.minimum(idx, bins - 1, out=idx)

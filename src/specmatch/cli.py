@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import types
@@ -18,29 +19,32 @@ from . import laplacian as _laplacian
 from . import matutil as _matutil
 from . import mesh_graph as _mesh_graph
 from . import spectral as _spectral
-from .pipeline import PipelineConfig, mesh_spectra, run_match
+from .pipeline import PipelineConfig, mesh_spectra, run_match, spectral_embedding
 
 
 def _add_front_end_flags(p: argparse.ArgumentParser) -> None:
     """Flags of the mesh -> spectrum -> embedding front end that ``match``
-    and ``embed`` share."""
-    p.add_argument("--weighting", choices=["uniform", "gaussian"], default="gaussian")
-    p.add_argument("--sigma", type=float, default=None,
+    and ``embed`` share. Their defaults are ``PipelineConfig``'s."""
+    p.add_argument("--weighting", choices=["uniform", "gaussian"])
+    p.add_argument("--sigma", type=float,
                    help="gaussian weight scale (default: mean edge length)")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=int,
                    help="fixed embedding dimension (default: pick via --theta)")
-    p.add_argument("--theta", type=float, default=0.95,
+    p.add_argument("--theta", type=float,
                    help="captured-variance target for dimension selection")
-    p.add_argument("--embedding", choices=["sm1", "sm2"], default="sm2",
+    p.add_argument("--embedding", choices=["sm1", "sm2"],
                    help="sm1: commute-time, sm2: hypersphere-normalized")
 
 
 def _config_from(args) -> PipelineConfig:
-    return PipelineConfig(
-        weighting=args.weighting, sigma=args.sigma, k=args.k, theta=args.theta,
-        embedding=args.embedding, sig_threshold=args.sig_threshold,
-        pi_out=args.pi_out, em_tol=args.em_tol, em_max_iter=args.em_max_iter,
-    )
+    """The config of the ``PipelineConfig`` flags given on the command line;
+    a value out of range is a usage error."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
+             if getattr(args, f.name, None) is not None}
+    try:
+        return PipelineConfig(**given)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _write_json(data, path) -> None:
@@ -53,26 +57,22 @@ def _write_json(data, path) -> None:
 
 
 def cmd_match(args) -> int:
+    config = _config_from(args)
     mesh_a = _mesh_graph.load_mesh(args.mesh_a)
     mesh_b = _mesh_graph.load_mesh(args.mesh_b)
-    result = run_match(mesh_a, mesh_b, _config_from(args))
+    result = run_match(mesh_a, mesh_b, config)
     _em.write_correspondence_tsv(result.correspondence, args.out_corr)
     _write_json(result.report, args.out_report)
     return 0
 
 
 def cmd_embed(args) -> int:
+    config = _config_from(args)
     mesh = _mesh_graph.load_mesh(args.mesh)
-    (graph,), (spectrum,), k_cap = mesh_spectra((mesh,), args.weighting, args.sigma)
-    nonnull = spectrum.eigenvalues[1:]
-    if args.k:
-        K = min(args.k, k_cap)
-    else:
-        K = _embedding.select_dimension(nonnull, graph.n, args.theta).K
-    emb = _embedding.commute_time_embedding(spectrum, K)
-    if args.embedding == "sm2":
-        emb = _embedding.normalize_hypersphere(emb)
+    (graph,), (spectrum,), _, selection = mesh_spectra((mesh,), config)
+    emb = spectral_embedding(spectrum, selection["K"], config.embedding)
     _embedding.dump_embedding(emb, args.out)
+    nonnull = spectrum.eigenvalues[1:]
     sys.stdout.write("K\ttheta_min\n")
     for k in range(1, nonnull.size + 1):
         sys.stdout.write(
@@ -223,20 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh_b")
     _add_front_end_flags(p)
     # the alignment and EM stages, which only match runs
-    p.add_argument("--sig-threshold", type=float, default=0.7,
+    p.add_argument("--sig-threshold", type=float,
                    help="histogram similarity threshold for keeping eigenvectors")
-    p.add_argument("--pi-out", type=float, default=0.01)
-    p.add_argument("--em-tol", type=float, default=1e-6)
-    p.add_argument("--em-max-iter", type=int, default=100)
+    p.add_argument("--pi-out", type=float)
+    p.add_argument("--em-tol", type=float)
+    p.add_argument("--em-max-iter", type=int)
     p.add_argument("--out-corr", default="correspondence.tsv")
     p.add_argument("--out-report", default="-")
-    p.set_defaults(fn=cmd_match)
+    p.set_defaults(fn=cmd_match, parser=p)
 
     p = sub.add_parser("embed", help="dump a mesh's spectral embedding")
     p.add_argument("mesh")
     _add_front_end_flags(p)
     p.add_argument("--out", default="embedding.txt")
-    p.set_defaults(fn=cmd_embed)
+    p.set_defaults(fn=cmd_embed, parser=p)
 
     p = sub.add_parser("eval", help="score a correspondence against ground truth")
     p.add_argument("mesh_a")

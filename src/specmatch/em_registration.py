@@ -54,7 +54,7 @@ class GmmParams:
         return self.R.shape[0]
 
 
-def make_params(R: np.ndarray, sigma: float, n: int, pi_out: float = 0.01) -> GmmParams:
+def make_params(R: np.ndarray, sigma: float, n: int, pi_out: float) -> GmmParams:
     """Build mixture parameters with the uniform component supported on the
     unit ball (the hypersphere-normalized coordinates live inside it)."""
     if not 0.0 <= pi_out < 1.0:
@@ -99,9 +99,9 @@ def _posterior(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
         log_u = np.log(params.uniform_const) + (params.K / 2.0) * np.log(params.sigma)
     else:
         log_u = -np.inf
-    shift = np.maximum(E.max(axis=1), log_u if np.isfinite(log_u) else -np.inf)
+    shift = np.maximum(E.max(axis=1), log_u)
     num = np.exp(E - shift[:, None])
-    out = np.exp(log_u - shift) if np.isfinite(log_u) else np.zeros(E.shape[0])
+    out = np.exp(log_u - shift)   # zeros, without a warning, when log_u = -inf
     denom = num.sum(axis=1) + out
     posterior = np.empty((E.shape[0], E.shape[1] + 1))
     posterior[:, :-1] = num / denom[:, None]

@@ -49,6 +49,8 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
     """
     if spectrum.source_kind != "combinatorial":
         raise ValueError("commute-time embedding requires a combinatorial spectrum")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     avail = spectrum.n_pairs - 1
     if K > avail:
         raise InsufficientSpectrumError(
@@ -106,9 +108,7 @@ def theta_scree(eigenvalues, K: int) -> float:
     return float(inv[:K].sum() / inv.sum())
 
 
-def select_dimension(
-    eigenvalues, n: int, theta_target: float = 0.95
-) -> DimensionSelection:
+def select_dimension(eigenvalues, n: int, theta_target: float) -> DimensionSelection:
     """Smallest K whose captured-variance lower bound reaches the target.
 
     Returns the number of available pairs with ``reached=False`` when no

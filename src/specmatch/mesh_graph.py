@@ -73,20 +73,21 @@ def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Sparse symmetric non-negative weighted adjacency with degree data."""
+    """Sparse symmetric non-negative weighted adjacency and its degree data."""
 
-    n: int
     adjacency: sparse.csr_matrix
-    degrees: np.ndarray = field(default=None)
-    volume: float = field(default=None)
+    degrees: np.ndarray = field(init=False)
+    volume: float = field(init=False)
 
     def __post_init__(self):
         adj = sparse.csr_matrix(self.adjacency)
         object.__setattr__(self, "adjacency", adj)
-        if self.degrees is None:
-            object.__setattr__(self, "degrees", np.asarray(adj.sum(axis=1)).ravel())
-        if self.volume is None:
-            object.__setattr__(self, "volume", float(self.degrees.sum()))
+        object.__setattr__(self, "degrees", np.asarray(adj.sum(axis=1)).ravel())
+        object.__setattr__(self, "volume", float(self.degrees.sum()))
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "Graph":
@@ -99,7 +100,7 @@ class Graph:
             raise ValueError("adjacency must have zero diagonal")
         if adj.nnz and adj.data.min() < 0:
             raise ValueError("weights must be non-negative")
-        return cls(n=adj.shape[0], adjacency=adj)
+        return cls(adjacency=adj)
 
 
 _FORMATS = ("off", "ply")
@@ -293,7 +294,7 @@ def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = No
         raise DisconnectedGraphError(mesh.n_vertices)
 
     adj = _edge_matrix(mesh, weight)
-    graph = Graph(n=mesh.n_vertices, adjacency=adj)
+    graph = Graph(adjacency=adj)
 
     n_comp, _ = _csgraph_components(adj, directed=False)
     if n_comp != 1:

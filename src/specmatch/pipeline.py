@@ -20,17 +20,17 @@ K_MAX_DEFAULT = 50
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All knobs of a matching run; numeric ranges validated on construction."""
+    """All knobs of a run and the only copy of their defaults; ranges checked on construction."""
 
     weighting: str = "gaussian"
     sigma: float | None = None
     k: int | None = None
     theta: float = 0.95
     embedding: str = "sm2"          # sm1 = commute-time, sm2 = hypersphere
-    sig_threshold: float = 0.7
-    pi_out: float = 0.01
-    em_tol: float = 1e-6
-    em_max_iter: int = 100
+    sig_threshold: float = _alignment.DEFAULT_THRESHOLD
+    pi_out: float = _em.EmOptions.pi_out
+    em_tol: float = _em.EmOptions.tol
+    em_max_iter: int = _em.EmOptions.max_iter
 
     def __post_init__(self):
         if self.weighting not in ("uniform", "gaussian"):
@@ -66,22 +66,45 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def mesh_spectra(meshes, weighting="gaussian", sigma=None):
-    """The shared front end of ``match`` and ``embed``: each mesh's graph
-    and the smallest eigenpairs of its combinatorial Laplacian.
+def mesh_spectra(meshes, config: PipelineConfig):
+    """The shared front end of ``match`` and ``embed``: each mesh's graph,
+    the smallest eigenpairs of its combinatorial Laplacian, and the
+    embedding dimension K.
 
     Every spectrum holds the same k_cap+1 pairs, with k_cap the
-    ``K_MAX_DEFAULT`` cap or one less than the smallest vertex count.
-    Returns (graphs, spectra, k_cap).
+    ``K_MAX_DEFAULT`` cap or one less than the smallest vertex count. K is
+    ``config.k`` capped at k_cap, or else the largest theta-selected K of
+    the meshes. Returns (graphs, spectra, k_cap, selection), the last being
+    the report block that holds K.
     """
-    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, weighting, sigma)
-              for mesh in meshes]
+    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, config.weighting,
+                     config.sigma) for mesh in meshes]
     laps = [_stage("laplacian", _laplacian.assemble, graph, "combinatorial")
             for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
     spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_cap)
                for lap in laps]
-    return graphs, spectra, k_cap
+    if config.k is not None:
+        return graphs, spectra, k_cap, {"mode": "fixed", "K": min(config.k, k_cap)}
+    # each spectrum's k_cap non-null pairs bound its selected K by k_cap
+    sels = [_embedding.select_dimension(spec.eigenvalues[1:], graph.n, config.theta)
+            for graph, spec in zip(graphs, spectra)]
+    selection = {"mode": "theta", "K": max(sel.K for sel in sels)}
+    selection.update((f"theta_min_{tag}", sel.theta_min) for tag, sel in zip("ab", sels))
+    selection.update((f"reached_{tag}", sel.reached) for tag, sel in zip("ab", sels))
+    return graphs, spectra, k_cap, selection
+
+
+def spectral_embedding(spectrum: _spectral.Spectrum, K: int, kind: str,
+                       rows=slice(None)) -> _embedding.Embedding:
+    """The ``rows`` of the spectrum's K-dimensional commute-time embedding,
+    projected onto the sphere of the reduced space for ``kind`` sm2."""
+    emb = _stage("embedding", _embedding.commute_time_embedding, spectrum, K)
+    emb = _embedding.Embedding(coords=emb.coords[rows], kind=emb.kind,
+                               eigenvalues=emb.eigenvalues[rows])
+    if kind == "sm2":
+        emb = _stage("embedding", _embedding.normalize_hypersphere, emb)
+    return emb
 
 
 def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfig()) -> MatchResult:
@@ -89,8 +112,8 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     per-stage report."""
     report: dict = {"config": asdict(config)}
 
-    (graph_a, graph_b), (spec_a, spec_b), k_cap = mesh_spectra(
-        (mesh_a, mesh_b), config.weighting, config.sigma)
+    (graph_a, graph_b), (spec_a, spec_b), k_cap, selection = mesh_spectra(
+        (mesh_a, mesh_b), config)
     report["n_a"], report["n_b"] = graph_a.n, graph_b.n
     report["spectral"] = {
         "method_a": spec_a.method, "method_b": spec_b.method,
@@ -98,21 +121,8 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
         "worst_residual_a": float(spec_a.residuals.max()),
         "worst_residual_b": float(spec_b.residuals.max()),
     }
-
-    if config.k:
-        K = min(config.k, k_cap)
-        report["k_selection"] = {"mode": "fixed", "K": K}
-    else:
-        sel_a = _embedding.select_dimension(spec_a.eigenvalues[1:], graph_a.n,
-                                            config.theta)
-        sel_b = _embedding.select_dimension(spec_b.eigenvalues[1:], graph_b.n,
-                                            config.theta)
-        K = min(max(sel_a.K, sel_b.K), k_cap)
-        report["k_selection"] = {
-            "mode": "theta", "K": K,
-            "theta_min_a": sel_a.theta_min, "theta_min_b": sel_b.theta_min,
-            "reached_a": sel_a.reached, "reached_b": sel_b.reached,
-        }
+    report["k_selection"] = selection
+    K = selection["K"]
 
     report["spectral"]["pairs_used"] = K + 1  # the null pair and K non-null pairs
     U_a = spec_a.eigenvectors[:, 1:K + 1]
@@ -128,25 +138,10 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
         "dropped": sorted(set(range(K)) - set(align.kept.tolist())),
     }
 
-    emb_a = _stage("embedding", _embedding.commute_time_embedding, spec_a, K)
-    emb_b = _stage("embedding", _embedding.commute_time_embedding, spec_b, K)
-
-    # restrict both embeddings to the aligned eigenvector pairs, then (for
-    # the normalized setting) project onto the sphere of the reduced space
+    # both embeddings restricted to the aligned eigenvector pairs
     kept = align.kept
-    emb_a = _embedding.Embedding(
-        coords=emb_a.coords[kept], kind=emb_a.kind,
-        eigenvalues=emb_a.eigenvalues[kept],
-    )
-    emb_b = _embedding.Embedding(
-        coords=emb_b.coords[align.permutation[kept]], kind=emb_b.kind,
-        eigenvalues=emb_b.eigenvalues[align.permutation[kept]],
-    )
-    if config.embedding == "sm2":
-        emb_a = _stage("embedding", _embedding.normalize_hypersphere, emb_a)
-        emb_b = _stage("embedding", _embedding.normalize_hypersphere, emb_b)
-    X_a = emb_a.coords
-    X_b = emb_b.coords
+    X_a = spectral_embedding(spec_a, K, config.embedding, kept).coords
+    X_b = spectral_embedding(spec_b, K, config.embedding, align.permutation[kept]).coords
     R0 = np.diag(align.signs[kept])
 
     opts = _em.EmOptions(tol=config.em_tol, max_iter=config.em_max_iter,

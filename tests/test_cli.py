@@ -113,6 +113,19 @@ def test_flags_a_command_does_not_read_are_rejected(torus_off, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "{mesh}", "--k", "0", "--out", "{out}"],
+    ["embed", "{mesh}", "--k", "-3", "--out", "{out}"],
+    ["embed", "{mesh}", "--theta", "1.5", "--out", "{out}"],
+    ["match", "{mesh}", "{mesh}", "--k", "0", "--out-corr", "{out}"],
+])
+def test_invalid_config_values_are_usage_errors(tmp_path, torus_off, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(mesh=torus_off, out=tmp_path / "out") for arg in argv])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_isolab_exact(tmp_path, capsys):
     from specmatch.laplacian import dump_triplets
     from scipy import sparse

@@ -77,6 +77,13 @@ def test_insufficient_spectrum():
         commute_time_embedding(p3_spectrum(), 3)
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_dimension_below_one_rejected(K):
+    # a negative K would otherwise slice rows from the end of the spectrum
+    with pytest.raises(ValueError):
+        commute_time_embedding(p3_spectrum(), K)
+
+
 def test_p3_ctd_anchors(p3):
     spectrum = p3_spectrum()
     d12 = commute_time_distance(spectrum, 0, 1, p3.volume)

@@ -251,13 +251,9 @@ def em_register(
     posterior, final_ll = e_step(X, X_data, params)
     best = posterior[:, :-1].max(axis=1)
     winners = posterior[:, :-1].argmax(axis=1)
-    map_matches = [
-        (int(j), int(winners[j]))
-        for j in range(X_data.shape[1])
-        if best[j] > MAP_THRESHOLD
-    ]
-    matched = {j for j, _ in map_matches}
-    unmatched = [j for j in range(X_data.shape[1]) if j not in matched]
+    accepted = best > MAP_THRESHOLD
+    map_matches = [(j, int(winners[j])) for j in np.flatnonzero(accepted).tolist()]
+    unmatched = np.flatnonzero(~accepted).tolist()
     return Correspondence(
         posterior=posterior,
         map_matches=map_matches,

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import DisconnectedGraphError, SpecmatchError
-from .mesh_graph import Mesh, _edge_matrix
+from .mesh_graph import Graph, Mesh, _edge_matrix
 
 TRANSFORM_KINDS = ("isometry_relabel", "noise", "holes", "sampling", "local_scale")
 
@@ -52,12 +51,12 @@ class ErrorReport:
 
 
 def _geodesic_graph(mesh: Mesh):
-    """Edge-length matrix of a mesh, checked to be connected."""
-    g = _edge_matrix(mesh)
-    n_comp, _ = _csgraph_components(g, directed=False)
-    if n_comp != 1:
-        raise DisconnectedGraphError(n_comp)
-    return g
+    """Edge-length matrix of a mesh, checked to be connected. A zero length
+    stays an edge: coincident vertices are at geodesic distance 0."""
+    g = Graph(adjacency=_edge_matrix(mesh))
+    if g.n_components != 1:
+        raise DisconnectedGraphError(g.n_components)
+    return g.adjacency
 
 
 def _sweep_sources(n: int, sweeps: int = 20, seed: int = 0) -> np.ndarray:
@@ -90,6 +89,8 @@ def registration_error(
         raise ValueError("empty match set")
 
     scored = [(j, i, gt.pairs[j]) for j, i in matches if j in gt.pairs]
+    if not scored:
+        raise ValueError("no matched vertex has a ground-truth target")
     wrong_sources = [true_i for _, i, true_i in scored if i != true_i]
     # one Dijkstra run serves the diameter sweep and the wrong matches
     sweep = _sweep_sources(mesh_a.n_vertices) if diameter is None else np.empty(0, int)
@@ -176,8 +177,7 @@ def _noise(mesh: Mesh, eps: float, rng) -> tuple[Mesh, GroundTruth]:
 
 
 def _connected(mesh: Mesh) -> bool:
-    n_comp, _ = _csgraph_components(_edge_matrix(mesh, np.ones_like), directed=False)
-    return n_comp == 1
+    return Graph(adjacency=_edge_matrix(mesh, np.ones_like)).n_components == 1
 
 
 def _holes(mesh: Mesh, fraction: float, rng, attempts: int = 25):

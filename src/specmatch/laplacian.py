@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import DisconnectedGraphError, ZeroDegreeError
 from .mesh_graph import Graph
@@ -35,32 +34,21 @@ class LaplacianMatrix:
 def assemble(graph: Graph, kind: str = "combinatorial") -> LaplacianMatrix:
     """Assemble a Laplacian of the requested kind from a connected graph.
 
-    combinatorial: D - W;  normalized: D^{-1/2} (D - W) D^{-1/2};
-    random_walk: D^{-1} (D - W).
+    combinatorial: D - W; the other kinds are its :func:`convert` scalings.
     """
-    n_comp, _ = _csgraph_components(graph.adjacency, directed=False)
-    if n_comp != 1:
-        raise DisconnectedGraphError(n_comp)
+    if graph.n_components != 1:
+        raise DisconnectedGraphError(graph.n_components)
     d = graph.degrees
-    if kind in ("normalized", "random_walk"):
-        zero = np.flatnonzero(d == 0)
-        if zero.size:
-            raise ZeroDegreeError(int(zero[0]))
-    comb = sparse.diags(d) - graph.adjacency
-    if kind == "combinatorial":
-        mat = comb
-    elif kind == "normalized":
-        inv_sqrt = sparse.diags(1.0 / np.sqrt(d))
-        mat = inv_sqrt @ comb @ inv_sqrt
-    elif kind == "random_walk":
-        mat = sparse.diags(1.0 / d) @ comb
-    else:
-        raise ValueError(f"unknown Laplacian kind {kind!r}")
-    return LaplacianMatrix(kind=kind, matrix=sparse.csr_matrix(mat), degrees=d.copy())
+    comb = LaplacianMatrix("combinatorial", sparse.diags(d) - graph.adjacency, d.copy())
+    return comb if kind == "combinatorial" else convert(comb, kind)
 
 
 def convert(lap: LaplacianMatrix, target_kind: str) -> LaplacianMatrix:
-    """Convert between Laplacian kinds using the degree rescalings."""
+    """Convert between Laplacian kinds using the degree rescalings.
+
+    normalized: D^{-1/2} L D^{-1/2};  random_walk: D^{-1} L, with L the
+    combinatorial D - W. Every degree must be positive.
+    """
     if target_kind not in KINDS:
         raise ValueError(f"unknown Laplacian kind {target_kind!r}")
     d = lap.degrees
@@ -85,7 +73,7 @@ def convert(lap: LaplacianMatrix, target_kind: str) -> LaplacianMatrix:
         mat = inv_sq @ comb @ inv_sq
     else:
         mat = inv_d @ comb
-    return LaplacianMatrix(kind=target_kind, matrix=sparse.csr_matrix(mat), degrees=d.copy())
+    return LaplacianMatrix(kind=target_kind, matrix=mat, degrees=d.copy())
 
 
 def dump_triplets(matrix, path) -> None:

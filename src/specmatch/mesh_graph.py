@@ -73,17 +73,24 @@ def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Sparse symmetric non-negative weighted adjacency and its degree data."""
+    """Sparse symmetric non-negative weighted adjacency, its degree data and
+    its number of connected components.
+
+    Every stored entry is an edge, a stored zero included.
+    """
 
     adjacency: sparse.csr_matrix
     degrees: np.ndarray = field(init=False)
     volume: float = field(init=False)
+    n_components: int = field(init=False)
 
     def __post_init__(self):
         adj = sparse.csr_matrix(self.adjacency)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "degrees", np.asarray(adj.sum(axis=1)).ravel())
         object.__setattr__(self, "volume", float(self.degrees.sum()))
+        n_comp, _ = _csgraph_components(adj, directed=False)
+        object.__setattr__(self, "n_components", int(n_comp))
 
     @property
     def n(self) -> int:
@@ -94,6 +101,8 @@ class Graph:
         adj = sparse.csr_matrix(adjacency)
         if adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
+        if not np.isfinite(adj.data).all():
+            raise ValueError("weights must be finite")
         if (adj != adj.T).nnz:
             raise ValueError("adjacency must be symmetric")
         if adj.diagonal().any():
@@ -294,11 +303,11 @@ def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = No
         raise DisconnectedGraphError(mesh.n_vertices)
 
     adj = _edge_matrix(mesh, weight)
+    # a weight that underflowed to 0 joins nothing in the Laplacian
+    adj.eliminate_zeros()
     graph = Graph(adjacency=adj)
-
-    n_comp, _ = _csgraph_components(adj, directed=False)
-    if n_comp != 1:
-        raise DisconnectedGraphError(n_comp)
+    if graph.n_components != 1:
+        raise DisconnectedGraphError(graph.n_components)
     return graph
 
 

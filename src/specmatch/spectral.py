@@ -51,13 +51,7 @@ def _canonicalize_signs(U: np.ndarray) -> np.ndarray:
 
 
 def _null_vector(lap: LaplacianMatrix) -> np.ndarray:
-    n = lap.n
-    if lap.kind == "combinatorial":
-        v = np.ones(n)
-    elif lap.kind == "normalized":
-        v = np.sqrt(lap.degrees)
-    else:
-        raise ValueError(f"no symmetric null vector for kind {lap.kind!r}")
+    v = np.ones(lap.n) if lap.kind == "combinatorial" else np.sqrt(lap.degrees)
     return v / np.linalg.norm(v)
 
 
@@ -83,7 +77,7 @@ def eigs_smallest(
     n = lap.n
     if K + 1 > n:
         raise ValueError(f"K+1={K + 1} exceeds matrix size n={n}")
-    A = lap.matrix.tocsr()
+    A = lap.matrix
     norm1 = splinalg.norm(A, 1) if A.nnz else 1.0
     if tol is None:
         tol = 1e-8 * norm1

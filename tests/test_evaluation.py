@@ -137,6 +137,12 @@ def test_registration_error_empty_rejected():
         registration_error([], GroundTruth({}), tetrahedron_mesh())
 
 
+def test_registration_error_no_ground_truth_overlap_rejected():
+    # matches exist, but none of their vertices has a true target
+    with pytest.raises(ValueError, match="no matched vertex has a ground-truth target"):
+        registration_error([(0, 1), (1, 2)], GroundTruth({3: 3}), tetrahedron_mesh())
+
+
 def test_strength_param_ramps():
     assert strength_param("noise", 1) == 0.02
     assert strength_param("noise", 5) == 0.20

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from specmatch.errors import ZeroDegreeError
+from specmatch import evaluation, laplacian, mesh_graph
+from specmatch.errors import DisconnectedGraphError, ZeroDegreeError
 from specmatch.laplacian import assemble, convert, dump_triplets, load_triplets
-from specmatch.mesh_graph import Graph
+from specmatch.mesh_graph import Graph, build_graph
 
 from conftest import path3_graph, random_connected_graph
 
@@ -81,12 +82,18 @@ def test_convert_matches_direct_assembly():
     rng = np.random.default_rng(7)
     graph = random_connected_graph(rng, 30)
     comb = assemble(graph, "combinatorial")
-    for target in ("normalized", "random_walk"):
+    # the closed forms, built densely from the adjacency
+    W = graph.adjacency.toarray()
+    d = W.sum(axis=1)
+    L = np.diag(d) - W
+    closed = {
+        "normalized": L / np.sqrt(np.outer(d, d)),
+        "random_walk": L / d[:, None],
+    }
+    for target, expected in closed.items():
         converted = convert(comb, target)
-        direct = assemble(graph, target)
         np.testing.assert_allclose(
-            converted.matrix.toarray(), direct.matrix.toarray(), rtol=1e-12,
-            atol=1e-14,
+            converted.matrix.toarray(), expected, rtol=1e-12, atol=1e-14,
         )
 
 
@@ -111,13 +118,28 @@ def test_convert_round_trip(p3):
 
 
 def test_zero_degree_rejected():
+    # the isolated vertex 2 is a second component, which every kind rejects
+    # before the degree-normalized kinds would reject its zero degree
     adj = np.zeros((3, 3))
     adj[0, 1] = adj[1, 0] = 1.0
     graph = Graph.from_adjacency(adj)
-    with pytest.raises(Exception):
-        # graph is also disconnected; either error is acceptable here,
-        # the isolated-vertex kinds specifically need positive degrees
-        assemble(graph, "normalized")
+    for kind in ("combinatorial", "normalized", "random_walk"):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            assemble(graph, kind)
+        assert exc.value.n_components == 2
+
+
+def test_assemble_reads_the_graph_connectivity(monkeypatch, tetra):
+    # the component search runs once, when the graph is built
+    graph = build_graph(tetra, "gaussian")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("connected components searched again")
+
+    for module in (mesh_graph, laplacian, evaluation):
+        monkeypatch.setattr(module, "_csgraph_components", no_search, raising=False)
+    for kind in laplacian.KINDS:
+        assert assemble(graph, kind).n == 4
 
 
 def test_zero_degree_error_type():

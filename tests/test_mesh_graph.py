@@ -10,7 +10,7 @@ from specmatch.mesh_graph import (
     load_mesh,
     save_mesh,
 )
-from specmatch.shapes import bumpy_torus
+from specmatch.shapes import bent_cylinder, bumpy_torus
 
 from conftest import tetrahedron_mesh
 
@@ -157,6 +157,10 @@ def test_non_finite_input_rejected(bad):
         Mesh(vertices=v, faces=torus.faces)
     with pytest.raises(ValueError, match="finite"):
         build_graph(torus, "gaussian", sigma=bad)
+    # checked before symmetry, which a NaN weight would fail
+    adj = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        Graph.from_adjacency(adj)
 
 
 def test_degenerate_face_rejected():
@@ -227,6 +231,13 @@ def test_disconnected_mesh_rejected():
     assert exc.value.n_components == 2
 
 
+def test_underflowed_weights_rejected():
+    # every Gaussian weight underflows to 0, and a zero weight is no edge
+    with pytest.raises(DisconnectedGraphError) as exc:
+        build_graph(bent_cylinder(12, 21), "gaussian", sigma=1e-4)
+    assert exc.value.n_components == 254
+
+
 @pytest.mark.parametrize("weighting", ["uniform", "gaussian"])
 def test_faceless_mesh_rejected(weighting):
     # no edges to weight: rejected before any weighting, without a warning
@@ -240,19 +251,24 @@ def test_connected_components_k4(tetra):
     graph = build_graph(tetra, "uniform")
     comps = connected_components(graph)
     assert comps == [{0, 1, 2, 3}]
+    assert graph.n_components == 1
 
 
 def test_connected_components_two_edges():
     adj = np.zeros((4, 4))
     adj[0, 1] = adj[1, 0] = 1.0
     adj[2, 3] = adj[3, 2] = 1.0
-    comps = connected_components(Graph.from_adjacency(adj))
+    graph = Graph.from_adjacency(adj)
+    comps = connected_components(graph)
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3]]
+    assert graph.n_components == 2
 
 
 def test_connected_components_empty_adjacency():
-    comps = connected_components(Graph.from_adjacency(np.zeros((3, 3))))
+    graph = Graph.from_adjacency(np.zeros((3, 3)))
+    comps = connected_components(graph)
     assert comps == [{0}, {1}, {2}]
+    assert graph.n_components == 3
 
 
 def test_mean_edge_length():

@@ -17,6 +17,7 @@ from .errors import (
     DisconnectedGraphError,
     MeshParseError,
     NonConvergenceError,
+    NumericalError,
     PipelineError,
     SpecmatchError,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "DisconnectedGraphError",
     "MeshParseError",
     "NonConvergenceError",
+    "NumericalError",
     "PipelineError",
     "SpecmatchError",
     "GroundTruth",

@@ -1,4 +1,9 @@
-"""Command-line entry point: match, embed, eval, synth, isolab, selftest."""
+"""Command-line entry point: match, embed, eval, synth, isolab, selftest.
+
+A command that fails writes one line, ``specmatch <command>: <message>``,
+to stderr and exits with the status of its kind of failure: ``EXIT_INPUT``,
+``EXIT_NUMERICAL`` or ``EXIT_IO``. Usage errors exit with argparse's 2.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +24,13 @@ from . import laplacian as _laplacian
 from . import matutil as _matutil
 from . import mesh_graph as _mesh_graph
 from . import spectral as _spectral
+from .errors import NumericalError, PipelineError, SpecmatchError
 from .pipeline import PipelineConfig, mesh_spectra, run_match, spectral_embedding
+
+
+EXIT_INPUT = 3       # the input was rejected: a malformed mesh, matrix or table
+EXIT_NUMERICAL = 4   # a computation failed on input that passed every check
+EXIT_IO = 5          # a file could not be opened, read or written
 
 
 def _add_front_end_flags(p: argparse.ArgumentParser) -> None:
@@ -269,9 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_status(exc: Exception) -> int:
+    if isinstance(exc, OSError):
+        return EXIT_IO
+    cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
+    return EXIT_NUMERICAL if isinstance(cause, NumericalError) else EXIT_INPUT
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (SpecmatchError, OSError) as exc:
+        message = str(exc).replace("\n", " ")
+        sys.stderr.write(f"specmatch {args.command}: {message}\n")
+        return _exit_status(exc)
 
 
 if __name__ == "__main__":

@@ -15,14 +15,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import gammaln, logsumexp
 
-from .errors import SpecmatchError
+from .errors import NumericalError
 
 SIGMA_FLOOR = 1e-12
 # a data point is matched when its largest posterior strictly exceeds this
 MAP_THRESHOLD = 0.5
 
 
-class LikelihoodError(SpecmatchError):
+class LikelihoodError(NumericalError):
     """The likelihood became non-finite (variance underflow)."""
 
 

@@ -2,7 +2,14 @@
 
 
 class SpecmatchError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error that is not a ``NumericalError`` rejects its input.
+    """
+
+
+class NumericalError(SpecmatchError):
+    """A computation failed on input that passed every check."""
 
 
 class MeshParseError(SpecmatchError):
@@ -45,7 +52,7 @@ class ZeroDegreeError(SpecmatchError):
         super().__init__(f"vertex {vertex} has zero degree")
 
 
-class NonConvergenceError(SpecmatchError):
+class NonConvergenceError(NumericalError):
     """Iterative eigensolver failed to reach the requested residual tolerance."""
 
     def __init__(self, residuals, tol):
@@ -57,7 +64,7 @@ class NonConvergenceError(SpecmatchError):
         )
 
 
-class DegenerateSpectrumError(SpecmatchError):
+class DegenerateSpectrumError(NumericalError):
     """Adjacent eigenvalues are too close for a method that needs distinct ones."""
 
 

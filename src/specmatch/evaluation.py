@@ -26,6 +26,10 @@ class TransformError(SpecmatchError):
     """The requested synthetic transform could not keep the mesh connected."""
 
 
+class ScoringError(SpecmatchError, ValueError):
+    """The matches and the ground truth leave no vertex to score."""
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """True correspondence: vertex j of the transformed shape -> vertex of
@@ -86,11 +90,11 @@ def registration_error(
     """
     matches = corr.map_matches if hasattr(corr, "map_matches") else list(corr)
     if not matches:
-        raise ValueError("empty match set")
+        raise ScoringError("empty match set")
 
     scored = [(j, i, gt.pairs[j]) for j, i in matches if j in gt.pairs]
     if not scored:
-        raise ValueError("no matched vertex has a ground-truth target")
+        raise ScoringError("no matched vertex has a ground-truth target")
     wrong_sources = [true_i for _, i, true_i in scored if i != true_i]
     # one Dijkstra run serves the diameter sweep and the wrong matches
     sweep = _sweep_sources(mesh_a.n_vertices) if diameter is None else np.empty(0, int)

@@ -38,8 +38,9 @@ def _checked_eigh(A, gap_tol: float, strict: bool):
 
 
 def _conjugation_residual(A_A, A_B, perm: PermutationMatrix) -> float:
-    P = perm.to_matrix()
-    return frobenius_norm(A_A - P @ A_B @ P.T)
+    """||A_A - P A_B P^T||_F, where (P A_B P^T)[i, j] = A_B[p_i, p_j]."""
+    p = perm.mapping
+    return frobenius_norm(A_A - A_B[np.ix_(p, p)])
 
 
 def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | None:

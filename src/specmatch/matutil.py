@@ -113,11 +113,24 @@ def is_doubly_stochastic(A, tol: float = 1e-9) -> bool:
 def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMatrix]]:
     """Decompose a doubly stochastic matrix into a convex sum of permutations.
 
-    Greedy peeling: repeatedly pick a permutation inside the strictly
-    positive support (via assignment on a 0/1 support cost), subtract the
-    smallest matched entry, until no entry of the residual exceeds ``tol``.
-    Each step zeroes at least one entry, so the number of terms is at most
-    (n-1)^2 + 1.
+    Greedy peeling: each term is the maximum-weight assignment on the
+    residual R itself, with every entry outside the positive support
+    ``R > 0`` priced at -n. A permutation inside the support scores > 0 and
+    any other scores < 0, so the pick leaves the support only when the
+    support holds no perfect matching, which ``BirkhoffError`` reports.
+    Taking the heaviest permutation of the support, rather than any one of
+    them, sets the term count (Dufosse & Ucar, LAA 2016): a mix of 30
+    permutations of size 100 comes apart in about 360 terms, not 2,400.
+    Each step subtracts the smallest matched entry, which zeroes it, so
+    there are at most (n-1)^2 + 1 terms.
+
+    The support is ``R > 0``, not ``R > tol``: near the end the residual's
+    entries sit around ``tol``, and a cut there can leave no perfect
+    matching while R still has mass. The loop runs while a row sum of R
+    exceeds ``tol``. Every term lowers all row sums by its weight, so this
+    tests R itself, leaves no entry above ``tol``, and bounds 1 - sum(w)
+    by ``tol`` plus the input's own row-sum error. Stopping once no single
+    entry exceeds ``tol`` can leave row sums of several times ``tol``.
     """
     if isinstance(X, DoublyStochasticMatrix):
         R = X.entries.copy()
@@ -126,17 +139,17 @@ def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMat
         if not is_doubly_stochastic(R, tol):
             raise ValueError("input is not doubly stochastic within tolerance")
     n = R.shape[0]
+    rows = np.arange(n)
     terms: list[tuple[float, PermutationMatrix]] = []
-    while (R > tol).any():
-        support = R > tol
-        perm = hungarian(np.where(support, 0.0, 1.0), sense="min")
-        matched = R[np.arange(n), perm.mapping]
-        if (matched <= tol).any():
+    while R.sum(axis=1).max() > tol:
+        perm = hungarian(np.where(R > 0, R, -float(n)), sense="max")
+        matched = R[rows, perm.mapping]
+        if (matched <= 0).any():
             raise BirkhoffError(
                 "no permutation inside the positive support; "
                 "input is not doubly stochastic"
             )
         w = float(matched.min())
         terms.append((w, perm))
-        R[np.arange(n), perm.mapping] -= w
+        R[rows, perm.mapping] -= w
     return terms

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specmatch.cli import main
+from specmatch.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERICAL, main
 from specmatch.mesh_graph import load_mesh, save_mesh
 
 
@@ -155,3 +155,52 @@ def test_isolab_no_isomorphism(tmp_path, capsys):
     dump_triplets(sparse.csr_matrix(A), str(pa))
     dump_triplets(sparse.csr_matrix(B), str(pb))
     assert main(["isolab", str(pa), str(pb), "--method", "exact"]) == 1
+
+
+def _assert_one_line_failure(capsys, argv, status):
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith(f"specmatch {argv[0]}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    return err
+
+
+def test_disconnected_mesh_is_an_input_failure(tmp_path, capsys):
+    off = tmp_path / "two_triangles.off"
+    off.write_text("OFF\n6 2 0\n0 0 0\n1 0 0\n0 1 0\n5 0 0\n6 0 0\n5 1 0\n"
+                   "3 0 1 2\n3 3 4 5\n")
+    err = _assert_one_line_failure(
+        capsys, ["embed", str(off), "--out", str(tmp_path / "emb.txt")], EXIT_INPUT)
+    assert "stage 'mesh_graph'" in err and "2 components" in err
+
+
+def test_missing_file_is_an_io_failure(tmp_path, capsys):
+    missing = str(tmp_path / "missing.off")
+    err = _assert_one_line_failure(
+        capsys, ["match", missing, missing, "--out-corr", str(tmp_path / "c.tsv")],
+        EXIT_IO)
+    assert "missing.off" in err
+
+
+def test_ground_truth_without_overlap_is_an_input_failure(tmp_path, torus_off, capsys):
+    corr = tmp_path / "corr.tsv"
+    corr.write_text("0\t0\t1.0\n1\t1\t1.0\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("5\t5\n")
+    err = _assert_one_line_failure(
+        capsys, ["eval", torus_off, str(corr), str(gt)], EXIT_INPUT)
+    assert "no matched vertex has a ground-truth target" in err
+
+
+def test_degenerate_spectrum_is_a_numerical_failure(tmp_path, capsys):
+    from specmatch.laplacian import dump_triplets
+    from scipy import sparse
+
+    # the complete graph K4 has the eigenvalue -1 three times
+    A = sparse.csr_matrix(np.ones((4, 4)) - np.eye(4))
+    pa = tmp_path / "k4.txt"
+    dump_triplets(A, str(pa))
+    err = _assert_one_line_failure(
+        capsys, ["isolab", str(pa), str(pa), "--method", "exact"], EXIT_NUMERICAL)
+    assert "eigenvalue gap" in err

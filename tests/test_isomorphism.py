@@ -86,6 +86,19 @@ def test_umeyama_perturbed_pair():
     assert res.residual <= 3e-3
 
 
+def test_residual_matches_dense_conjugation_on_non_isomorphic_pair():
+    # the residual reads A_B by index; on two unrelated graphs it is
+    # non-zero and equals the dense ||A_A - P A_B P^T||_F
+    rng = np.random.default_rng(9)
+    A = random_weighted_adjacency(rng, 30)
+    B = random_weighted_adjacency(rng, 30)
+    res = umeyama_match(A, B)
+    P = res.permutation.to_matrix()
+    assert res.residual > 1.0
+    assert not res.exact
+    assert res.residual == frobenius_norm(A - P @ B @ P.T)
+
+
 def test_umeyama_degenerate_warns():
     A = np.ones((4, 4)) - np.eye(4)
     with pytest.warns(RuntimeWarning):

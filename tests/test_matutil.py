@@ -165,6 +165,42 @@ def test_birkhoff_stops_on_the_residual_matrix():
     np.testing.assert_allclose(recon, X, rtol=0.0, atol=1e-9)
 
 
+def _reconstruction(terms, n):
+    total = np.zeros((n, n))
+    for w, perm in terms:
+        total[np.arange(n), perm.mapping] += w
+    return total
+
+
+def test_birkhoff_peels_a_permutation_mix_in_few_terms():
+    # a convex mix of 30 permutations, as in the benchmark's isolab; a pick
+    # of any permutation inside the support takes about 2,400 terms here
+    rng = np.random.default_rng(1)
+    n = 100
+    X = np.zeros((n, n))
+    for w in rng.dirichlet(np.ones(30)):
+        X[np.arange(n), rng.permutation(n)] += w
+    terms = birkhoff_decompose(X)
+    assert len(terms) <= 600
+    assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-9
+    assert np.abs(_reconstruction(terms, n) - X).max() <= 1e-9
+
+
+def test_birkhoff_dense_sinkhorn_balanced_matrix():
+    # every entry positive, so the support is full and the term bound is
+    # the only limit on the count
+    rng = np.random.default_rng(11)
+    n = 30
+    X = rng.random((n, n)) + 0.1
+    for _ in range(100):
+        X /= X.sum(axis=1, keepdims=True)
+        X /= X.sum(axis=0, keepdims=True)
+    assert is_doubly_stochastic(X)
+    terms = birkhoff_decompose(X)
+    assert len(terms) <= (n - 1) ** 2 + 1
+    assert np.abs(_reconstruction(terms, n) - X).max() <= 1e-9
+
+
 def test_birkhoff_rejects_non_doubly_stochastic():
     with pytest.raises(ValueError):
         birkhoff_decompose(np.array([[0.9, 0.0], [0.0, 0.9]]))

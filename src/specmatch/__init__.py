@@ -15,6 +15,7 @@ from .embedding import (
 )
 from .errors import (
     DisconnectedGraphError,
+    InputError,
     MeshParseError,
     NonConvergenceError,
     NumericalError,
@@ -52,6 +53,7 @@ __all__ = [
     "select_dimension",
     "theta_min",
     "DisconnectedGraphError",
+    "InputError",
     "MeshParseError",
     "NonConvergenceError",
     "NumericalError",

@@ -24,7 +24,7 @@ from . import laplacian as _laplacian
 from . import matutil as _matutil
 from . import mesh_graph as _mesh_graph
 from . import spectral as _spectral
-from .errors import NumericalError, PipelineError, SpecmatchError
+from .errors import InputError, NumericalError, PipelineError, SpecmatchError
 from .pipeline import PipelineConfig, mesh_spectra, run_match, spectral_embedding
 
 
@@ -93,13 +93,17 @@ def cmd_embed(args) -> int:
 
 
 def _read_pairs_tsv(path):
+    """The (j, i) integer pairs that open each non-blank line of a TSV."""
     pairs = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
                 continue
-            pairs.append((int(tok[0]), int(tok[1])))
+            try:
+                pairs.append((int(tok[0]), int(tok[1])))
+            except (ValueError, IndexError):
+                raise InputError(f"{path}:{lineno}: expected 'j i', got {line.strip()!r}")
     return pairs
 
 

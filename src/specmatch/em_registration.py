@@ -81,19 +81,15 @@ def _sq_distances(X: np.ndarray, X_data: np.ndarray, R: np.ndarray) -> np.ndarra
     return cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
 
 
-def e_step(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
+def e_step(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
     """Row-stochastic m x (n+1) posterior (the last column is the outlier
-    class) and the observed-data log-likelihood.
+    class) and the observed-data log-likelihood, from the m x n squared
+    distances ``D2`` of ``_sq_distances`` at ``params.R``.
 
     Rows are computed with a max-shift before exponentiation, so very
     small variances do not underflow. A row's log-likelihood is its shift
     plus the log of its normalizer plus log pi_in - K/2 log(2 pi sigma).
     """
-    return _posterior(_sq_distances(X, X_data, params.R), params)
-
-
-def _posterior(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
-    """``e_step``'s posterior and log-likelihood from its distance matrix."""
     E = -D2 / (2.0 * params.sigma)
     if params.uniform_const > 0.0:
         log_u = np.log(params.uniform_const) + (params.K / 2.0) * np.log(params.sigma)
@@ -114,7 +110,8 @@ def _posterior(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
 def m_step(
     X: np.ndarray, X_data: np.ndarray, posterior: np.ndarray
 ) -> tuple[np.ndarray, float, bool]:
-    """Closed-form orthogonal alignment and variance update.
+    """Closed-form orthogonal alignment and variance update from the m x n
+    inlier columns of the posterior.
 
     Returns (R, sigma, degenerate). R is the orthogonal polar factor of
     the posterior-weighted cross-covariance; reflections are allowed.
@@ -123,8 +120,6 @@ def m_step(
     deterministically on the null space.
     """
     alpha = np.asarray(posterior, dtype=float)
-    if alpha.shape[1] == X.shape[1] + 1:
-        alpha = alpha[:, :-1]
     cross = X_data @ alpha @ X.T
     A, svals, Bt = np.linalg.svd(cross)
     R = A @ Bt
@@ -162,16 +157,6 @@ def log_likelihood(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> floa
     return float(logsumexp(terms, axis=1).sum())
 
 
-def expected_complete_log_likelihood(
-    X: np.ndarray, X_data: np.ndarray, params: GmmParams, posterior: np.ndarray
-) -> float:
-    """Posterior-weighted fit term the M-step maximizes over (R, sigma)."""
-    alpha = posterior[:, :-1] if posterior.shape[1] == X.shape[1] + 1 else posterior
-    D2 = _sq_distances(X, X_data, params.R)
-    K = params.K
-    return float(-0.5 * (alpha * (D2 / params.sigma + K * np.log(params.sigma))).sum())
-
-
 @dataclass(frozen=True)
 class EmOptions:
     tol: float = 1e-6
@@ -206,8 +191,10 @@ def em_register(
     signed permutation produced by the eigenbasis alignment. Iterates
     until the relative log-likelihood change drops below ``opts.tol`` or
     ``opts.max_iter`` is hit, then accepts the assignments whose
-    posterior strictly exceeds ``MAP_THRESHOLD``. Each iteration builds
-    one distance matrix, in the e-step, and the final e-step one more.
+    posterior strictly exceeds ``MAP_THRESHOLD``. Each iteration is an
+    m-step followed by an e-step, and each e-step builds one distance
+    matrix; the first e-step, at R0, also gives the starting variance.
+    The last e-step's posterior and likelihood are the result.
     """
     X = np.asarray(X, dtype=float)
     X_data = np.asarray(X_data, dtype=float)
@@ -221,37 +208,32 @@ def em_register(
     R0 = np.asarray(R0, dtype=float)
 
     # the starting variance is the mean squared distance from each data
-    # point to its nearest center, taken from the first e-step's matrix
+    # point to its nearest center
     D2 = _sq_distances(X, X_data, R0)
     params = make_params(R0, float(D2.min(axis=1).mean()), n, pi_out=opts.pi_out)
-    posterior, ll = _posterior(D2, params)
-    del D2
-
     trace = []
-    degenerate = False
-    converged = True  # cleared below when max_iter, not the tolerance, ends the loop
-    prev_ll = -np.inf
+    degenerate = converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        if iterations > 1:
-            posterior, ll = e_step(X, X_data, params)
+    while True:
+        posterior, ll = e_step(D2, params)
+        del D2   # the next matrix is built only after this one is dropped
         if not np.isfinite(ll):
-            raise LikelihoodError(f"non-finite log-likelihood at iteration {iterations}")
+            raise LikelihoodError(f"non-finite log-likelihood at e-step {iterations + 1}")
         trace.append(ll)
-        R, sigma, degenerate = m_step(X, X_data, posterior)
+        if converged or iterations == opts.max_iter:
+            break
+        R, sigma, degenerate = m_step(X, X_data, posterior[:, :-1])
         params = make_params(R, sigma, n, pi_out=opts.pi_out)
-        if np.isfinite(prev_ll):
-            denom = max(abs(prev_ll), 1e-30)
-            if abs(ll - prev_ll) / denom < opts.tol:
-                break
-        prev_ll = ll
-    else:
-        converged = False
+        iterations += 1
+        # converged once the likelihood this m-step started from moved less
+        # than tol from the one before; one more e-step gives the result
+        converged = iterations > 1 and (
+            abs(ll - trace[-2]) / max(abs(trace[-2]), 1e-30) < opts.tol
+        )
+        D2 = _sq_distances(X, X_data, params.R)
 
-    posterior, final_ll = e_step(X, X_data, params)
-    best = posterior[:, :-1].max(axis=1)
     winners = posterior[:, :-1].argmax(axis=1)
-    accepted = best > MAP_THRESHOLD
+    accepted = posterior[np.arange(winners.size), winners] > MAP_THRESHOLD
     map_matches = [(j, int(winners[j])) for j in np.flatnonzero(accepted).tolist()]
     unmatched = np.flatnonzero(~accepted).tolist()
     return Correspondence(
@@ -259,8 +241,8 @@ def em_register(
         map_matches=map_matches,
         unmatched=unmatched,
         iterations=iterations,
-        log_likelihood=final_ll,
-        log_likelihood_trace=np.array(trace + [final_ll]),
+        log_likelihood=ll,
+        log_likelihood_trace=np.array(trace),
         params=params,
         degenerate=degenerate,
         converged=converged,

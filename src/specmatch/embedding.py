@@ -62,20 +62,15 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
     return Embedding(coords=coords, kind="commute_time", eigenvalues=lam.copy())
 
 
-def commute_time_distance(
-    spectrum: Spectrum, i: int, j: int, volume: float, K: int | None = None
-) -> float:
+def commute_time_distance(spectrum: Spectrum, i: int, j: int, volume: float) -> float:
     """Commute-time distance between vertices i and j.
 
-    Uses the K leading non-null pairs (all available pairs when K is
-    None). With the full spectrum this is exact; truncation gives the
-    approximation registration actually works with.
+    Uses every non-null pair of the spectrum, so it is exact when the
+    spectrum is full.
     """
     if i == j:
         return 0.0
-    avail = spectrum.n_pairs - 1
-    K = avail if K is None else K
-    emb = commute_time_embedding(spectrum, K)
+    emb = commute_time_embedding(spectrum, spectrum.n_pairs - 1)
     diff = emb.coords[:, i] - emb.coords[:, j]
     return float(np.sqrt(volume * float(diff @ diff)))
 

@@ -12,6 +12,11 @@ class NumericalError(SpecmatchError):
     """A computation failed on input that passed every check."""
 
 
+class InputError(SpecmatchError, ValueError):
+    """Input rejected by a check of its own, such as a file's format or a
+    table's fields. Also a ``ValueError``, as any bad argument is."""
+
+
 class MeshParseError(SpecmatchError):
     """Raised when a mesh file cannot be parsed.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import DisconnectedGraphError, SpecmatchError
+from .errors import DisconnectedGraphError, InputError, SpecmatchError
 from .mesh_graph import Graph, Mesh, _edge_matrix
 
 TRANSFORM_KINDS = ("isometry_relabel", "noise", "holes", "sampling", "local_scale")
@@ -26,7 +26,7 @@ class TransformError(SpecmatchError):
     """The requested synthetic transform could not keep the mesh connected."""
 
 
-class ScoringError(SpecmatchError, ValueError):
+class ScoringError(InputError):
     """The matches and the ground truth leave no vertex to score."""
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DisconnectedGraphError, ZeroDegreeError
+from .errors import DisconnectedGraphError, InputError, ZeroDegreeError
 from .mesh_graph import Graph
 
 KINDS = ("combinatorial", "normalized", "random_walk")
@@ -85,18 +85,23 @@ def dump_triplets(matrix, path) -> None:
             fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
 
 
-def load_triplets(path, shape=None) -> sparse.csr_matrix:
-    """Read a `row col value` triplet file back into a sparse matrix."""
+def load_triplets(path) -> sparse.csr_matrix:
+    """Read a `row col value` triplet file back into a square sparse matrix
+    just large enough for its largest index."""
     rows, cols, vals = [], [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
                 continue
-            rows.append(int(tok[0]))
-            cols.append(int(tok[1]))
-            vals.append(float(tok[2]))
-    if shape is None:
-        size = max(max(rows, default=-1), max(cols, default=-1)) + 1
-        shape = (size, size)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+            try:
+                row, col, val = int(tok[0]), int(tok[1]), float(tok[2])
+            except (ValueError, IndexError):
+                raise InputError(f"{path}:{lineno}: expected 'row col value', got {line.strip()!r}")
+            if row < 0 or col < 0:
+                raise InputError(f"{path}:{lineno}: negative index in {line.strip()!r}")
+            rows.append(row)
+            cols.append(col)
+            vals.append(val)
+    size = max(max(rows, default=-1), max(cols, default=-1)) + 1
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
-from .errors import DegenerateFaceError, DisconnectedGraphError, MeshParseError
+from .errors import DegenerateFaceError, DisconnectedGraphError, InputError, MeshParseError
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,11 @@ class Mesh:
         object.__setattr__(self, "faces", f)
         n = v.shape[0]
         if n < 3:
-            raise ValueError(f"mesh needs at least 3 vertices, got {n}")
+            raise InputError(f"mesh needs at least 3 vertices, got {n}")
         if not np.isfinite(v).all():
-            raise ValueError("vertex coordinates must be finite")
+            raise InputError("vertex coordinates must be finite")
         if f.size and (f.min() < 0 or f.max() >= n):
-            raise ValueError("face index out of range")
+            raise InputError("face index out of range")
         repeats = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
         if repeats.any():
             idx = int(repeats.argmax())
@@ -120,9 +120,9 @@ def _format(path, format: str | None) -> str:
     if format is None:
         format = os.path.splitext(path)[1].lower().lstrip(".")
         if format not in _FORMATS:
-            raise ValueError(f"cannot infer mesh format from {path!r}")
+            raise InputError(f"cannot infer mesh format from {path!r}")
     elif format not in _FORMATS:
-        raise ValueError(f"unsupported mesh format {format!r}")
+        raise InputError(f"unsupported mesh format {format!r}")
     return format
 
 

@@ -55,11 +55,7 @@ def _null_vector(lap: LaplacianMatrix) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def eigs_smallest(
-    lap: LaplacianMatrix,
-    K: int,
-    tol: float | None = None,
-) -> Spectrum:
+def eigs_smallest(lap: LaplacianMatrix, K: int) -> Spectrum:
     """The K+1 algebraically smallest eigenpairs of a symmetric Laplacian.
 
     Mid-size and large problems take one shift-invert Lanczos solve
@@ -79,8 +75,7 @@ def eigs_smallest(
         raise ValueError(f"K+1={K + 1} exceeds matrix size n={n}")
     A = lap.matrix
     norm1 = splinalg.norm(A, 1) if A.nnz else 1.0
-    if tol is None:
-        tol = 1e-8 * norm1
+    tol = 1e-8 * norm1   # on every pair's residual
     null = _null_vector(lap).reshape(-1, 1)
 
     # Lanczos needs a basis well beyond K+1 vectors; small problems go

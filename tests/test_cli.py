@@ -204,3 +204,36 @@ def test_degenerate_spectrum_is_a_numerical_failure(tmp_path, capsys):
     err = _assert_one_line_failure(
         capsys, ["isolab", str(pa), str(pa), "--method", "exact"], EXIT_NUMERICAL)
     assert "eigenvalue gap" in err
+
+
+def test_non_finite_vertex_is_an_input_failure(tmp_path, capsys):
+    off = tmp_path / "nan.off"
+    off.write_text("OFF\n3 1 0\n0 0 0\nnan 0 0\n0 1 0\n3 0 1 2\n")
+    err = _assert_one_line_failure(
+        capsys, ["embed", str(off), "--out", str(tmp_path / "emb.txt")], EXIT_INPUT)
+    assert "vertex coordinates must be finite" in err
+
+
+def test_unknown_mesh_extension_is_an_input_failure(tmp_path, capsys):
+    err = _assert_one_line_failure(
+        capsys, ["embed", str(tmp_path / "x.obj"), "--out", str(tmp_path / "emb.txt")],
+        EXIT_INPUT)
+    assert "x.obj" in err
+
+
+def test_malformed_correspondence_is_an_input_failure(tmp_path, torus_off, capsys):
+    corr = tmp_path / "corr.tsv"
+    corr.write_text("0\t0\t1.0\n1\tone\t1.0\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("0\t0\n1\t1\n")
+    err = _assert_one_line_failure(
+        capsys, ["eval", torus_off, str(corr), str(gt)], EXIT_INPUT)
+    assert f"{corr}:2:" in err
+
+
+@pytest.mark.parametrize("bad_line", ["1 0 x", "-1 0 1.0"])
+def test_malformed_triplets_are_an_input_failure(tmp_path, capsys, bad_line):
+    pa = tmp_path / "a.txt"
+    pa.write_text(f"0 1 1.0\n{bad_line}\n")
+    err = _assert_one_line_failure(capsys, ["isolab", str(pa), str(pa)], EXIT_INPUT)
+    assert f"{pa}:2:" in err

@@ -7,9 +7,10 @@ from specmatch.em_registration import (
     Correspondence,
     EmOptions,
     GmmParams,
+    LikelihoodError,
+    _sq_distances,
     e_step,
     em_register,
-    expected_complete_log_likelihood,
     log_likelihood,
     m_step,
     make_params,
@@ -47,7 +48,7 @@ def test_e_step_single_center_no_outlier():
     X = np.array([[0.3], [0.4]])
     data = np.array([[1.0], [-2.0]])
     params = make_params(np.eye(2), 0.7, n=1, pi_out=0.0)
-    post, _ = e_step(X, data, params)
+    post, _ = e_step(_sq_distances(X, data, params.R), params)
     np.testing.assert_allclose(post, [[1.0, 0.0]])
 
 
@@ -55,7 +56,7 @@ def test_e_step_equidistant_centers():
     X = np.array([[-1.0, 1.0], [0.0, 0.0]])
     data = np.zeros((2, 1))
     params = make_params(np.eye(2), 0.3, n=2, pi_out=0.0)
-    post, _ = e_step(X, data, params)
+    post, _ = e_step(_sq_distances(X, data, params.R), params)
     np.testing.assert_allclose(post[0, :2], [0.5, 0.5])
     assert post[0, 2] == 0.0
 
@@ -70,7 +71,7 @@ def test_e_step_outlier_balance():
     )
     X = np.zeros((2, 1))
     data = np.zeros((2, 1))
-    post, _ = e_step(X, data, params)
+    post, _ = e_step(_sq_distances(X, data, params.R), params)
     np.testing.assert_allclose(post, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -79,7 +80,7 @@ def test_e_step_rows_stochastic():
     X = rng.standard_normal((3, 8))
     data = rng.standard_normal((3, 12))
     params = make_params(np.eye(3), 0.2, n=8, pi_out=0.05)
-    post, _ = e_step(X, data, params)
+    post, _ = e_step(_sq_distances(X, data, params.R), params)
     assert post.shape == (12, 9)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(post >= 0.0)
@@ -89,7 +90,7 @@ def test_e_step_tiny_sigma_no_underflow():
     X = np.array([[0.0, 10.0]])
     data = np.array([[0.1]])
     params = make_params(np.eye(1), 1e-14, n=2, pi_out=0.01)
-    post, _ = e_step(X, data, params)
+    post, _ = e_step(_sq_distances(X, data, params.R), params)
     assert np.all(np.isfinite(post))
     np.testing.assert_allclose(post.sum(axis=1), 1.0)
 
@@ -141,7 +142,8 @@ def test_initial_sigma_nearest_center():
     X = np.array([[0.0, 4.0]])
     data = np.array([[1.0, 3.0]])
     corr = em_register(X, data, np.eye(1), EmOptions(max_iter=1))
-    _, ll = e_step(X, data, make_params(np.eye(1), 1.0, n=2, pi_out=0.01))
+    params = make_params(np.eye(1), 1.0, n=2, pi_out=0.01)
+    _, ll = e_step(_sq_distances(X, data, params.R), params)
     assert corr.log_likelihood_trace[0] == ll
 
 
@@ -218,9 +220,8 @@ def test_likelihood_consistent_with_e_step():
     params = make_params(np.eye(2), 0.3, n=6, pi_out=0.1)
     ll = log_likelihood(X, data, params)
     assert np.isfinite(ll)
-    post, _ = e_step(X, data, params)
-    q = expected_complete_log_likelihood(X, data, params, post)
-    assert np.isfinite(q)
+    _, e_ll = e_step(_sq_distances(X, data, params.R), params)
+    assert e_ll == pytest.approx(ll, rel=1e-12)
 
 
 @pytest.mark.parametrize("pi_out", [0.0, 0.01, 0.2])
@@ -232,19 +233,26 @@ def test_e_step_log_likelihood_matches_reference(pi_out, sigma):
     data = X[:, rng.permutation(9)[:7]] + 0.01 * rng.standard_normal((4, 7))
     R = special_ortho_group.rvs(4, random_state=14)
     params = make_params(R, sigma, n=9, pi_out=pi_out)
-    _, ll = e_step(X, data, params)
+    _, ll = e_step(_sq_distances(X, data, params.R), params)
     assert ll == pytest.approx(log_likelihood(X, data, params), rel=1e-12)
 
 
-def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
+def _counting(monkeypatch, name):
+    """Replace ``em_registration.<name>`` with a wrapper; returns its call list."""
     calls = []
-    original = em_registration._sq_distances
+    original = getattr(em_registration, name)
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(em_registration, "_sq_distances", counting)
+    monkeypatch.setattr(em_registration, name, counting)
+    return calls
+
+
+def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
+    matrices = _counting(monkeypatch, "_sq_distances")
+    e_steps = _counting(monkeypatch, "e_step")
     rng = np.random.default_rng(15)
     K, n = 4, 40
     X = rng.standard_normal((K, n))
@@ -252,20 +260,42 @@ def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
     data = X + 0.02 * rng.standard_normal((K, n))
     corr = em_register(X, data, np.eye(K), EmOptions(pi_out=0.05))
     assert corr.iterations > 2
-    # one per e-step, the first of which also gives the initial variance,
-    # plus the final e-step
-    assert len(calls) <= corr.iterations + 1
+    # one e-step at R0, which also gives the initial variance, and one
+    # after each iteration's m-step; each builds one matrix
+    assert len(matrices) == corr.iterations + 1
+    assert len(e_steps) == corr.iterations + 1
 
 
 def test_em_reports_convergence():
     rng = np.random.default_rng(16)
     X = rng.standard_normal((4, 30))
     X /= np.linalg.norm(X, axis=0)
-    assert em_register(X, X, np.eye(4)).converged
+    done = em_register(X, X, np.eye(4))
+    assert done.converged
     data = X + 0.05 * rng.standard_normal((4, 30))
     capped = em_register(X, data, np.eye(4), EmOptions(max_iter=1))
     assert capped.iterations == 1
     assert not capped.converged
+    for corr in (done, capped):
+        assert len(corr.log_likelihood_trace) == corr.iterations + 1
+        assert corr.log_likelihood == corr.log_likelihood_trace[-1]
+
+
+def test_em_final_likelihood_is_checked(monkeypatch):
+    # the last e-step's likelihood is the result, so it is held to the
+    # same finiteness check as the others
+    original = em_registration.e_step
+    calls = []
+
+    def nan_on_second(D2, params):
+        calls.append(1)
+        posterior, ll = original(D2, params)
+        return posterior, (np.nan if len(calls) == 2 else ll)
+
+    monkeypatch.setattr(em_registration, "e_step", nan_on_second)
+    X = np.array([[0.0, 4.0]])
+    with pytest.raises(LikelihoodError, match="at e-step 2"):
+        em_register(X, X + 0.5, np.eye(1), EmOptions(max_iter=1))
 
 
 def test_em_rejects_empty_point_sets():

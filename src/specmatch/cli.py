@@ -80,7 +80,8 @@ def cmd_match(args) -> int:
 def cmd_embed(args) -> int:
     config = _config_from(args)
     mesh = _mesh_graph.load_mesh(args.mesh)
-    (graph,), (spectrum,), _, selection = mesh_spectra((mesh,), config)
+    # the theta table below has a row for each of the k_cap non-null pairs
+    (graph,), (spectrum,), selection = mesh_spectra((mesh,), config, all_pairs=True)
     emb = spectral_embedding(spectrum, selection["K"], config.embedding)
     _embedding.dump_embedding(emb, args.out)
     nonnull = spectrum.eigenvalues[1:]

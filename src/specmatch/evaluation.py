@@ -27,7 +27,7 @@ class TransformError(SpecmatchError):
 
 
 class ScoringError(InputError):
-    """The matches and the ground truth leave no vertex to score."""
+    """The matches and the ground truth cannot be scored on the reference mesh."""
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,14 @@ def registration_error(
     scored = [(j, i, gt.pairs[j]) for j, i in matches if j in gt.pairs]
     if not scored:
         raise ScoringError("no matched vertex has a ground-truth target")
+    n = mesh_a.n_vertices
+    for j, i, true_i in scored:
+        if not (0 <= i < n and 0 <= true_i < n):
+            raise ScoringError(f"vertex {j}: target {i} (ground truth {true_i}) is not "
+                               f"a vertex of the {n}-vertex reference mesh")
     wrong_sources = [true_i for _, i, true_i in scored if i != true_i]
     # one Dijkstra run serves the diameter sweep and the wrong matches
-    sweep = _sweep_sources(mesh_a.n_vertices) if diameter is None else np.empty(0, int)
+    sweep = _sweep_sources(n) if diameter is None else np.empty(0, int)
     sources = np.union1d(sweep, wrong_sources).astype(int)
     dist_rows = {}
     if sources.size:

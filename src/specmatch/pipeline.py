@@ -66,33 +66,37 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def mesh_spectra(meshes, config: PipelineConfig):
+def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
     """The shared front end of ``match`` and ``embed``: each mesh's graph,
     the smallest eigenpairs of its combinatorial Laplacian, and the
     embedding dimension K.
 
-    Every spectrum holds the same k_cap+1 pairs, with k_cap the
-    ``K_MAX_DEFAULT`` cap or one less than the smallest vertex count. K is
-    ``config.k`` capped at k_cap, or else the largest theta-selected K of
-    the meshes. Returns (graphs, spectra, k_cap, selection), the last being
-    the report block that holds K.
+    k_cap is the ``K_MAX_DEFAULT`` cap or one less than the smallest vertex
+    count. K is ``config.k`` capped at k_cap, or else the largest
+    theta-selected K of the meshes. A fixed K solves only the K+1 pairs the
+    embedding reads; theta selection reads all k_cap+1, and so does a caller
+    that passes ``all_pairs``. Every spectrum holds the same number of
+    pairs. Returns (graphs, spectra, selection), the last being the report
+    block that holds K.
     """
     graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, config.weighting,
                      config.sigma) for mesh in meshes]
     laps = [_stage("laplacian", _laplacian.assemble, graph, "combinatorial")
             for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
-    spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_cap)
+    fixed_k = None if config.k is None else min(config.k, k_cap)
+    k_solve = k_cap if fixed_k is None or all_pairs else fixed_k
+    spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_solve)
                for lap in laps]
-    if config.k is not None:
-        return graphs, spectra, k_cap, {"mode": "fixed", "K": min(config.k, k_cap)}
+    if fixed_k is not None:
+        return graphs, spectra, {"mode": "fixed", "K": fixed_k}
     # each spectrum's k_cap non-null pairs bound its selected K by k_cap
     sels = [_embedding.select_dimension(spec.eigenvalues[1:], graph.n, config.theta)
             for graph, spec in zip(graphs, spectra)]
     selection = {"mode": "theta", "K": max(sel.K for sel in sels)}
     selection.update((f"theta_min_{tag}", sel.theta_min) for tag, sel in zip("ab", sels))
     selection.update((f"reached_{tag}", sel.reached) for tag, sel in zip("ab", sels))
-    return graphs, spectra, k_cap, selection
+    return graphs, spectra, selection
 
 
 def spectral_embedding(spectrum: _spectral.Spectrum, K: int, kind: str,
@@ -112,12 +116,12 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     per-stage report."""
     report: dict = {"config": asdict(config)}
 
-    (graph_a, graph_b), (spec_a, spec_b), k_cap, selection = mesh_spectra(
+    (graph_a, graph_b), (spec_a, spec_b), selection = mesh_spectra(
         (mesh_a, mesh_b), config)
     report["n_a"], report["n_b"] = graph_a.n, graph_b.n
     report["spectral"] = {
         "method_a": spec_a.method, "method_b": spec_b.method,
-        "pairs_computed": k_cap + 1,
+        "pairs_computed": spec_a.n_pairs,  # both spectra hold as many
         "worst_residual_a": float(spec_a.residuals.max()),
         "worst_residual_b": float(spec_b.residuals.max()),
     }

@@ -48,6 +48,20 @@ def p3():
     return path3_graph()
 
 
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The K argument of every ``eigs_smallest`` call that the pipeline makes."""
+    sizes = []
+    solve = spectral.eigs_smallest
+
+    def recording(lap, K):
+        sizes.append(K)
+        return solve(lap, K)
+
+    monkeypatch.setattr(spectral, "eigs_smallest", recording)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def torus_small():
     return bumpy_torus(24, 16)

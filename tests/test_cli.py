@@ -157,6 +157,16 @@ def test_isolab_no_isomorphism(tmp_path, capsys):
     assert main(["isolab", str(pa), str(pb), "--method", "exact"]) == 1
 
 
+def test_embed_solves_every_theta_row(tmp_path, torus_off, capsys, solve_sizes):
+    # a fixed --k still prints the theta table of all k_cap = 50 pairs
+    rc = main(["embed", torus_off, "--k", "10", "--out", str(tmp_path / "emb.txt")])
+    assert rc == 0
+    assert solve_sizes == [50]
+    table = capsys.readouterr().out.splitlines()
+    assert table[0] == "K\ttheta_min"
+    assert [row.split("\t")[0] for row in table[1:]] == [str(k) for k in range(1, 51)]
+
+
 def _assert_one_line_failure(capsys, argv, status):
     assert main(argv) == status
     err = capsys.readouterr().err
@@ -229,6 +239,19 @@ def test_malformed_correspondence_is_an_input_failure(tmp_path, torus_off, capsy
     err = _assert_one_line_failure(
         capsys, ["eval", torus_off, str(corr), str(gt)], EXIT_INPUT)
     assert f"{corr}:2:" in err
+
+
+@pytest.mark.parametrize("corr_line, gt_line", [("0\t999\t1.0", "0\t0"),
+                                                 ("0\t0\t1.0", "0\t999")])
+def test_out_of_range_target_is_an_input_failure(tmp_path, torus_off, capsys,
+                                                 corr_line, gt_line):
+    corr = tmp_path / "corr.tsv"
+    corr.write_text(f"{corr_line}\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text(f"{gt_line}\n")
+    err = _assert_one_line_failure(
+        capsys, ["eval", torus_off, str(corr), str(gt)], EXIT_INPUT)
+    assert "vertex 0:" in err and "999" in err
 
 
 @pytest.mark.parametrize("bad_line", ["1 0 x", "-1 0 1.0"])

@@ -73,15 +73,26 @@ def test_stage_error_wrapped():
     assert exc.value.stage == "mesh_graph"
 
 
-def test_report_names_solver_path():
-    # 280 vertices: above the dense path's 5 x 53 limit for 51 pairs
+def test_report_names_solver_path(solve_sizes):
+    # 280 vertices: above the dense path's 5 x 13 limit for 11 pairs
     mesh_a = bent_cylinder(14, 20)
     mesh_b, _ = synth_transform(mesh_a, "isometry_relabel", seed=3)
     report = run_match(mesh_a, mesh_b, PipelineConfig(k=10)).report
     spectral = report["spectral"]
+    assert solve_sizes == [10, 10]
     assert spectral["method_a"] == spectral["method_b"] == "shift_invert"
-    assert spectral["pairs_computed"] == 51
+    assert spectral["pairs_computed"] == 11
     assert spectral["pairs_used"] == 11
     assert report["em"]["converged"] is True
     assert 0.0 <= spectral["worst_residual_a"] < 1e-8
     assert 0.0 <= spectral["worst_residual_b"] < 1e-8
+
+
+def test_theta_mode_solves_the_cap(solve_sizes):
+    # theta selection reads every eigenvalue up to the 50-pair cap
+    mesh_a = bent_cylinder(14, 20)
+    mesh_b, _ = synth_transform(mesh_a, "isometry_relabel", seed=3)
+    report = run_match(mesh_a, mesh_b, PipelineConfig()).report
+    assert solve_sizes == [50, 50]
+    assert report["spectral"]["pairs_computed"] == 51
+    assert report["k_selection"]["mode"] == "theta"

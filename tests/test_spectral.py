@@ -113,6 +113,17 @@ def test_spectrum_does_not_depend_on_vertex_order():
         np.testing.assert_allclose(vals, spectra[0], rtol=1e-10, atol=1e-12)
 
 
+def test_fewer_pairs_are_the_leading_pairs_of_more():
+    # a fixed-K match solves K+1 pairs; they must be the ones the 50-pair
+    # solve would have given
+    mesh, _ = synth_transform(bent_cylinder(12, 23), "isometry_relabel", seed=5)
+    lap = assemble(build_graph(mesh, "gaussian"), "combinatorial")
+    few, many = eigs_smallest(lap, 10), eigs_smallest(lap, 50)
+    assert few.n_pairs == 11
+    np.testing.assert_allclose(few.eigenvalues, many.eigenvalues[:11], rtol=1e-12)
+    np.testing.assert_allclose(few.eigenvectors, many.eigenvectors[:, :11], atol=1e-10)
+
+
 def test_method_reports_solver_path():
     rng = np.random.default_rng(7)
     small = assemble(random_connected_graph(rng, 30), "combinatorial")

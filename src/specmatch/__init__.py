@@ -30,7 +30,7 @@ from .evaluation import (
     synth_transform,
 )
 from .isomorphism import exact_spectral_isomorphism, hoffman_wielandt_gap, umeyama_match
-from .laplacian import LaplacianMatrix, assemble, convert
+from .laplacian import assemble
 from .matutil import PermutationMatrix, birkhoff_decompose, hungarian
 from .mesh_graph import Graph, Mesh, build_graph, load_mesh, save_mesh
 from .pipeline import MatchResult, PipelineConfig, run_match
@@ -67,9 +67,7 @@ __all__ = [
     "exact_spectral_isomorphism",
     "hoffman_wielandt_gap",
     "umeyama_match",
-    "LaplacianMatrix",
     "assemble",
-    "convert",
     "PermutationMatrix",
     "birkhoff_decompose",
     "hungarian",

@@ -174,14 +174,14 @@ def cmd_selftest(args) -> int:
     # path-graph Laplacian entries
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     graph = _mesh_graph.Graph.from_adjacency(adj)
-    lap = _laplacian.assemble(graph, "combinatorial")
+    lap = _laplacian.assemble(graph)
     check(
         "laplacian_path3",
-        np.allclose(lap.matrix.toarray(), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]),
+        np.allclose(lap.toarray(), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]),
     )
 
     # path-graph spectrum and commute-time anchors
-    spectrum = _spectral.dense_eig(lap.matrix.toarray(), source_kind="combinatorial")
+    spectrum = _spectral.dense_eig(lap)
     check("spectrum_path3", np.allclose(spectrum.eigenvalues, [0, 1, 3], atol=1e-12))
     d12 = _embedding.commute_time_distance(spectrum, 0, 1, graph.volume)
     d13 = _embedding.commute_time_distance(spectrum, 0, 2, graph.volume)
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a transformed mesh + ground truth")
     p.add_argument("mesh")
-    p.add_argument("--kind", choices=list(_evaluation.TRANSFORM_KINDS),
+    p.add_argument("--kind", choices=list(_evaluation.STRENGTH_RAMPS),
                    required=True)
     p.add_argument("--param", type=float, default=None)
     p.add_argument("--level", type=int, choices=range(1, 6), default=None,

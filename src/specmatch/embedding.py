@@ -28,7 +28,6 @@ class Embedding:
     """K x n coordinates of the graph vertices in spectral space."""
 
     coords: np.ndarray            # K x n, columns are vertices
-    kind: str                     # commute_time | hypersphere
     eigenvalues: np.ndarray       # the K source non-null eigenvalues
 
     @property
@@ -47,8 +46,6 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
     null pair. Euclidean distances in this space are commute-time
     distances up to the graph-volume factor.
     """
-    if spectrum.source_kind != "combinatorial":
-        raise ValueError("commute-time embedding requires a combinatorial spectrum")
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     avail = spectrum.n_pairs - 1
@@ -59,7 +56,7 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
     lam = spectrum.eigenvalues[1:K + 1]
     U = spectrum.eigenvectors[:, 1:K + 1]
     coords = (U / np.sqrt(lam)).T
-    return Embedding(coords=coords, kind="commute_time", eigenvalues=lam.copy())
+    return Embedding(coords=coords, eigenvalues=lam.copy())
 
 
 def commute_time_distance(spectrum: Spectrum, i: int, j: int, volume: float) -> float:
@@ -128,11 +125,7 @@ def normalize_hypersphere(emb: Embedding) -> Embedding:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroNormColumnError(int(zero[0]))
-    return Embedding(
-        coords=emb.coords / norms,
-        kind="hypersphere",
-        eigenvalues=emb.eigenvalues.copy(),
-    )
+    return Embedding(coords=emb.coords / norms, eigenvalues=emb.eigenvalues.copy())
 
 
 def embedding_stats(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:

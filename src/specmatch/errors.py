@@ -49,14 +49,6 @@ class DisconnectedGraphError(SpecmatchError):
         )
 
 
-class ZeroDegreeError(SpecmatchError):
-    """A vertex has zero degree, so degree-normalized operators are undefined."""
-
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex} has zero degree")
-
-
 class NonConvergenceError(NumericalError):
     """Iterative eigensolver failed to reach the requested residual tolerance."""
 

@@ -10,9 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import DisconnectedGraphError, InputError, SpecmatchError
 from .mesh_graph import Graph, Mesh, _edge_matrix
 
-TRANSFORM_KINDS = ("isometry_relabel", "noise", "holes", "sampling", "local_scale")
-
-# parameter ramps for the five strength levels of each transform class
+# the transform kinds, each with its parameter ramp for the five strength levels
 STRENGTH_RAMPS = {
     "isometry_relabel": [None] * 5,
     "noise": [0.02, 0.05, 0.10, 0.15, 0.20],
@@ -178,7 +176,7 @@ def _relabel(mesh: Mesh, rng) -> tuple[Mesh, GroundTruth]:
 
 def _noise(mesh: Mesh, eps: float, rng) -> tuple[Mesh, GroundTruth]:
     if eps < 0:
-        raise ValueError("noise strength must be non-negative")
+        raise InputError("noise strength must be non-negative")
     scale = eps * mesh.mean_edge_length() if mesh.n_faces else eps
     offset = rng.standard_normal(mesh.vertices.shape) * scale if eps > 0 else 0.0
     out = Mesh(vertices=mesh.vertices + offset, faces=mesh.faces.copy())
@@ -191,7 +189,7 @@ def _connected(mesh: Mesh) -> bool:
 
 def _holes(mesh: Mesh, fraction: float, rng, attempts: int = 25):
     if not 0.0 <= fraction < 1.0:
-        raise ValueError("hole fraction must be in [0, 1)")
+        raise InputError("hole fraction must be in [0, 1)")
     n_remove = int(round(fraction * mesh.n_faces))
     if n_remove == 0:
         return (
@@ -249,7 +247,7 @@ def _sampling(mesh: Mesh, ratio: float, rng):
     approximate when the mesh resists decimation.
     """
     if not 0.0 < ratio <= 1.0:
-        raise ValueError("sampling ratio must be in (0, 1]")
+        raise InputError("sampling ratio must be in (0, 1]")
     n = mesh.n_vertices
     target_remove = int(round((1.0 - ratio) * n))
     faces = {tuple(int(x) for x in f) for f in mesh.faces}
@@ -305,7 +303,7 @@ def _sampling(mesh: Mesh, ratio: float, rng):
 
 def _local_scale(mesh: Mesh, factor: float, rng):
     if factor <= 0:
-        raise ValueError("scale factor must be positive")
+        raise InputError("scale factor must be positive")
     n = mesh.n_vertices
     seed_vertex = int(rng.integers(n))
     dist = geodesic_distances(mesh, seed_vertex)

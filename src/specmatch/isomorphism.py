@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, InputError
 from .matutil import PermutationMatrix, frobenius_norm, hungarian
 
 EXACT_SIZE_LIMIT = 12
@@ -55,9 +55,9 @@ def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | N
     A_B = np.asarray(A_B, dtype=float)
     n = A_A.shape[0]
     if A_A.shape != A_B.shape or A_A.shape != (n, n):
-        raise ValueError("inputs must be square matrices of equal size")
+        raise InputError("inputs must be square matrices of equal size")
     if n > EXACT_SIZE_LIMIT:
-        raise ValueError(f"exact enumeration limited to n <= {EXACT_SIZE_LIMIT}")
+        raise InputError(f"exact enumeration limited to n <= {EXACT_SIZE_LIMIT}")
 
     vals_a, U_A, _ = _checked_eigh(A_A, gap_tol, strict=True)
     vals_b, U_B, _ = _checked_eigh(A_B, gap_tol, strict=True)
@@ -97,7 +97,7 @@ def umeyama_match(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult:
     A_B = np.asarray(A_B, dtype=float)
     n = A_A.shape[0]
     if A_A.shape != A_B.shape or A_A.shape != (n, n):
-        raise ValueError("inputs must be square matrices of equal size")
+        raise InputError("inputs must be square matrices of equal size")
 
     _, U_A, deg_a = _checked_eigh(A_A, gap_tol, strict=False)
     _, U_B, deg_b = _checked_eigh(A_B, gap_tol, strict=False)
@@ -136,7 +136,7 @@ def hoffman_wielandt_gap(A_A, A_B) -> tuple[float, float]:
     A_A = np.asarray(A_A, dtype=float)
     A_B = np.asarray(A_B, dtype=float)
     if A_A.shape != A_B.shape:
-        raise ValueError("inputs must have equal shape")
+        raise InputError("inputs must have equal shape")
     alpha = np.sort(np.linalg.eigvalsh(A_A))
     beta = np.sort(np.linalg.eigvalsh(A_B))
     lower = float(np.sum((alpha - beta) ** 2))

@@ -1,79 +1,19 @@
-"""The three graph Laplacian variants and conversions between them."""
+"""The combinatorial graph Laplacian D - W, and sparse matrices as text triplets."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DisconnectedGraphError, InputError, ZeroDegreeError
+from .errors import DisconnectedGraphError, InputError
 from .mesh_graph import Graph
 
-KINDS = ("combinatorial", "normalized", "random_walk")
 
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """A sparse Laplacian together with the degrees needed for conversions."""
-
-    kind: str
-    matrix: sparse.csr_matrix
-    degrees: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown Laplacian kind {self.kind!r}")
-        object.__setattr__(self, "matrix", sparse.csr_matrix(self.matrix))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def assemble(graph: Graph, kind: str = "combinatorial") -> LaplacianMatrix:
-    """Assemble a Laplacian of the requested kind from a connected graph.
-
-    combinatorial: D - W; the other kinds are its :func:`convert` scalings.
-    """
+def assemble(graph: Graph) -> sparse.csr_matrix:
+    """The combinatorial Laplacian D - W of a connected graph."""
     if graph.n_components != 1:
         raise DisconnectedGraphError(graph.n_components)
-    d = graph.degrees
-    comb = LaplacianMatrix("combinatorial", sparse.diags(d) - graph.adjacency, d.copy())
-    return comb if kind == "combinatorial" else convert(comb, kind)
-
-
-def convert(lap: LaplacianMatrix, target_kind: str) -> LaplacianMatrix:
-    """Convert between Laplacian kinds using the degree rescalings.
-
-    normalized: D^{-1/2} L D^{-1/2};  random_walk: D^{-1} L, with L the
-    combinatorial D - W. Every degree must be positive.
-    """
-    if target_kind not in KINDS:
-        raise ValueError(f"unknown Laplacian kind {target_kind!r}")
-    d = lap.degrees
-    if (d <= 0).any():
-        raise ZeroDegreeError(int(np.flatnonzero(d <= 0)[0]))
-    sq = sparse.diags(np.sqrt(d))
-    inv_sq = sparse.diags(1.0 / np.sqrt(d))
-    dd = sparse.diags(d)
-    inv_d = sparse.diags(1.0 / d)
-
-    # first to combinatorial, then to the target
-    if lap.kind == "combinatorial":
-        comb = lap.matrix
-    elif lap.kind == "normalized":
-        comb = sq @ lap.matrix @ sq
-    else:  # random_walk
-        comb = dd @ lap.matrix
-
-    if target_kind == "combinatorial":
-        mat = comb
-    elif target_kind == "normalized":
-        mat = inv_sq @ comb @ inv_sq
-    else:
-        mat = inv_d @ comb
-    return LaplacianMatrix(kind=target_kind, matrix=mat, degrees=d.copy())
+    return sparse.csr_matrix(sparse.diags(graph.degrees) - graph.adjacency)
 
 
 def dump_triplets(matrix, path) -> None:
@@ -103,5 +43,7 @@ def load_triplets(path) -> sparse.csr_matrix:
             rows.append(row)
             cols.append(col)
             vals.append(val)
-    size = max(max(rows, default=-1), max(cols, default=-1)) + 1
+    if not rows:
+        raise InputError(f"{path}: no 'row col value' triplets")
+    size = max(max(rows), max(cols)) + 1
     return sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))

@@ -115,23 +115,18 @@ class Graph:
 _FORMATS = ("off", "ply")
 
 
-def _format(path, format: str | None) -> str:
-    """``format`` checked, or inferred from the extension of ``path``."""
-    if format is None:
-        format = os.path.splitext(path)[1].lower().lstrip(".")
-        if format not in _FORMATS:
-            raise InputError(f"cannot infer mesh format from {path!r}")
-    elif format not in _FORMATS:
-        raise InputError(f"unsupported mesh format {format!r}")
+def _format(path) -> str:
+    """The mesh format named by the extension of ``path``."""
+    format = os.path.splitext(path)[1].lower().lstrip(".")
+    if format not in _FORMATS:
+        raise InputError(f"cannot infer mesh format from {path!r}")
     return format
 
 
-def load_mesh(path, format: str | None = None) -> Mesh:
-    """Read an OFF or ASCII-PLY triangle mesh.
-
-    ``format`` is "off" or "ply"; inferred from the extension when omitted.
-    """
-    header = {"off": _off_header, "ply": _ply_header}[_format(path, format)]
+def load_mesh(path) -> Mesh:
+    """Read an OFF or ASCII-PLY triangle mesh; the extension of ``path``,
+    ".off" or ".ply", names the format."""
+    header = {"off": _off_header, "ply": _ply_header}[_format(path)]
     lines = _tokens(path)
     elements, lineno = header(path, lines)
     return _read_elements(path, lines, elements, lineno)
@@ -252,9 +247,10 @@ _HEADERS = {
 }
 
 
-def save_mesh(mesh: Mesh, path, format: str | None = None) -> None:
-    """Write a mesh as OFF or ASCII PLY (round-trips with :func:`load_mesh`)."""
-    header = _HEADERS[_format(path, format)]
+def save_mesh(mesh: Mesh, path) -> None:
+    """Write a mesh as OFF or ASCII PLY, as the extension of ``path`` names
+    (round-trips with :func:`load_mesh`)."""
+    header = _HEADERS[_format(path)]
     with open(path, "w") as fh:
         fh.write(header.format(nv=mesh.n_vertices, nf=mesh.n_faces))
         for v in mesh.vertices:

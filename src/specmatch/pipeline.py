@@ -81,8 +81,7 @@ def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
     """
     graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, config.weighting,
                      config.sigma) for mesh in meshes]
-    laps = [_stage("laplacian", _laplacian.assemble, graph, "combinatorial")
-            for graph in graphs]
+    laps = [_stage("laplacian", _laplacian.assemble, graph) for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
     fixed_k = None if config.k is None else min(config.k, k_cap)
     k_solve = k_cap if fixed_k is None or all_pairs else fixed_k
@@ -104,8 +103,7 @@ def spectral_embedding(spectrum: _spectral.Spectrum, K: int, kind: str,
     """The ``rows`` of the spectrum's K-dimensional commute-time embedding,
     projected onto the sphere of the reduced space for ``kind`` sm2."""
     emb = _stage("embedding", _embedding.commute_time_embedding, spectrum, K)
-    emb = _embedding.Embedding(coords=emb.coords[rows], kind=emb.kind,
-                               eigenvalues=emb.eigenvalues[rows])
+    emb = _embedding.Embedding(coords=emb.coords[rows], eigenvalues=emb.eigenvalues[rows])
     if kind == "sm2":
         emb = _stage("embedding", _embedding.normalize_hypersphere, emb)
     return emb

@@ -81,5 +81,5 @@ def sphere_small():
 def torus_spectrum(torus):
     """K=12 leading eigenpairs of the 1536-vertex torus (shared oracle)."""
     graph = mesh_graph.build_graph(torus, "gaussian")
-    lap = laplacian.assemble(graph, "combinatorial")
+    lap = laplacian.assemble(graph)
     return spectral.eigs_smallest(lap, 12)

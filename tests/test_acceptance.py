@@ -179,11 +179,8 @@ def test_a6_commute_time_identity(capsys):
     for _ in range(50):
         n = int(rng.integers(5, 201))
         graph = random_connected_graph(rng, n)
-        spectrum = dense_eig(
-            assemble(graph, "combinatorial").matrix.toarray(),
-            source_kind="combinatorial",
-        )
-        Lp = np.linalg.pinv(assemble(graph, "combinatorial").matrix.toarray())
+        spectrum = dense_eig(assemble(graph))
+        Lp = np.linalg.pinv(assemble(graph).toarray())
         for _ in range(5):
             i, j = rng.choice(n, 2, replace=False)
             d2 = commute_time_distance(spectrum, int(i), int(j), graph.volume) ** 2
@@ -192,7 +189,7 @@ def test_a6_commute_time_identity(capsys):
 
     # unit path graph anchors: effective resistances 1 and 2, volume 4
     p3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    spectrum = dense_eig(p3, source_kind="combinatorial")
+    spectrum = dense_eig(p3)
     a12 = commute_time_distance(spectrum, 0, 1, 4.0) ** 2
     a13 = commute_time_distance(spectrum, 0, 2, 4.0) ** 2
     anchors = abs(a12 - 4.0) < 1e-9 and abs(a13 - 8.0) < 1e-9
@@ -209,10 +206,7 @@ def test_a7_embedding_moments(capsys):
     for _ in range(50):
         n = int(rng.integers(5, 80))
         graph = random_connected_graph(rng, n)
-        spectrum = dense_eig(
-            assemble(graph, "combinatorial").matrix.toarray(),
-            source_kind="combinatorial",
-        )
+        spectrum = dense_eig(assemble(graph))
         emb = commute_time_embedding(spectrum, n - 1)
         mean, cov = embedding_stats(emb)
         worst_mean = max(worst_mean, float(np.linalg.norm(mean)))
@@ -234,9 +228,7 @@ def test_a8_theta_bounds(capsys):
     for _ in range(30):
         n = int(rng.integers(4, 60))
         graph = random_connected_graph(rng, n)
-        lam = dense_eig(
-            assemble(graph, "combinatorial").matrix.toarray()
-        ).eigenvalues[1:]
+        lam = dense_eig(assemble(graph)).eigenvalues[1:]
         for K in range(1, lam.size + 1):
             lower = theta_min(lam, K, n)
             exact = theta_scree(lam, K)

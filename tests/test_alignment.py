@@ -110,10 +110,7 @@ def test_skewed_vector_sign_detectable():
 def spectrum_block(seed, n=300, K=6):
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(rng, n)
-    spectrum = dense_eig(
-        assemble(graph, "combinatorial").matrix.toarray(),
-        source_kind="combinatorial",
-    )
+    spectrum = dense_eig(assemble(graph))
     return spectrum.eigenvectors[:, 1:K + 1]
 
 

@@ -260,3 +260,34 @@ def test_malformed_triplets_are_an_input_failure(tmp_path, capsys, bad_line):
     pa.write_text(f"0 1 1.0\n{bad_line}\n")
     err = _assert_one_line_failure(capsys, ["isolab", str(pa), str(pa)], EXIT_INPUT)
     assert f"{pa}:2:" in err
+
+
+@pytest.mark.parametrize("kind, param, message", [
+    ("noise", "-1", "noise strength"),
+    ("holes", "1.5", "hole fraction"),
+    ("sampling", "0", "sampling ratio"),
+    ("local_scale", "0", "scale factor"),
+])
+def test_out_of_range_synth_parameter_is_an_input_failure(tmp_path, torus_off, capsys,
+                                                          kind, param, message):
+    err = _assert_one_line_failure(
+        capsys, ["synth", torus_off, "--kind", kind, "--param", param,
+                 "--out-mesh", str(tmp_path / "out.off"),
+                 "--out-gt", str(tmp_path / "gt.tsv")], EXIT_INPUT)
+    assert message in err
+
+
+@pytest.mark.parametrize("text_a, text_b, method, message", [
+    ("0 1 1.0\n1 0 1.0\n", "0 2 1.0\n2 0 1.0\n", "umeyama", "equal size"),
+    ("0 1 1.0\n1 0 1.0\n", "0 2 1.0\n2 0 1.0\n", "exact", "equal size"),
+    ("0 12 1.0\n12 0 1.0\n", "0 12 1.0\n12 0 1.0\n", "exact", "n <= 12"),
+    ("\n", "\n", "umeyama", "a.txt: no"),
+], ids=["sizes-umeyama", "sizes-exact", "exact-13-rows", "no-triplets"])
+def test_unmatchable_triplet_matrices_are_an_input_failure(tmp_path, capsys, text_a,
+                                                           text_b, method, message):
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    pa.write_text(text_a)
+    pb.write_text(text_b)
+    err = _assert_one_line_failure(
+        capsys, ["isolab", str(pa), str(pb), "--method", method], EXIT_INPUT)
+    assert message in err

@@ -20,13 +20,11 @@ from conftest import path3_graph, random_connected_graph
 
 
 def p3_spectrum():
-    lap = assemble(path3_graph(), "combinatorial")
-    return dense_eig(lap.matrix.toarray(), source_kind="combinatorial")
+    return dense_eig(assemble(path3_graph()))
 
 
 def laplacian_pinv(graph):
-    lap = assemble(graph, "combinatorial")
-    return np.linalg.pinv(lap.matrix.toarray())
+    return np.linalg.pinv(assemble(graph).toarray())
 
 
 def test_p3_commute_time_columns():
@@ -52,10 +50,7 @@ def test_k1_is_scaled_fiedler():
 def test_rows_zero_mean():
     rng = np.random.default_rng(0)
     graph = random_connected_graph(rng, 50)
-    spectrum = dense_eig(
-        assemble(graph, "combinatorial").matrix.toarray(),
-        source_kind="combinatorial",
-    )
+    spectrum = dense_eig(assemble(graph))
     emb = commute_time_embedding(spectrum, 6)
     assert np.abs(emb.coords.sum(axis=1)).max() <= 1e-8
 
@@ -63,10 +58,7 @@ def test_rows_zero_mean():
 def test_coordinate_bounds():
     rng = np.random.default_rng(1)
     graph = random_connected_graph(rng, 40)
-    spectrum = dense_eig(
-        assemble(graph, "combinatorial").matrix.toarray(),
-        source_kind="combinatorial",
-    )
+    spectrum = dense_eig(assemble(graph))
     emb = commute_time_embedding(spectrum, 5)
     bounds = 1.0 / np.sqrt(emb.eigenvalues)
     assert np.all(np.abs(emb.coords) < bounds[:, None])
@@ -102,10 +94,7 @@ def test_ctd_matches_pseudoinverse():
     for _ in range(10):
         n = int(rng.integers(5, 60))
         graph = random_connected_graph(rng, n)
-        spectrum = dense_eig(
-            assemble(graph, "combinatorial").matrix.toarray(),
-            source_kind="combinatorial",
-        )
+        spectrum = dense_eig(assemble(graph))
         Lp = laplacian_pinv(graph)
         i, j = rng.choice(n, 2, replace=False)
         d = commute_time_distance(spectrum, int(i), int(j), graph.volume)
@@ -116,10 +105,7 @@ def test_ctd_matches_pseudoinverse():
 def test_ctd_is_a_metric():
     rng = np.random.default_rng(3)
     graph = random_connected_graph(rng, 20)
-    spectrum = dense_eig(
-        assemble(graph, "combinatorial").matrix.toarray(),
-        source_kind="combinatorial",
-    )
+    spectrum = dense_eig(assemble(graph))
     vol = graph.volume
     D = np.zeros((20, 20))
     for i in range(20):
@@ -143,9 +129,7 @@ def test_theta_bounds_random():
     for _ in range(20):
         n = int(rng.integers(5, 50))
         graph = random_connected_graph(rng, n)
-        lam = dense_eig(
-            assemble(graph, "combinatorial").matrix.toarray()
-        ).eigenvalues[1:]
+        lam = dense_eig(assemble(graph)).eigenvalues[1:]
         for K in range(1, lam.size + 1):
             lower = theta_min(lam, K, n)
             exact = theta_scree(lam, K)
@@ -174,7 +158,7 @@ def test_select_dimension_unreachable():
 
 
 def test_normalize_column():
-    emb = Embedding(coords=np.array([[3.0], [4.0]]), kind="commute_time",
+    emb = Embedding(coords=np.array([[3.0], [4.0]]),
                     eigenvalues=np.array([1.0, 2.0]))
     out = normalize_hypersphere(emb)
     np.testing.assert_allclose(out.coords[:, 0], [0.6, 0.8])
@@ -183,8 +167,7 @@ def test_normalize_column():
 def test_normalize_idempotent():
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((3, 10))
-    emb = Embedding(coords=coords, kind="commute_time",
-                    eigenvalues=np.ones(3))
+    emb = Embedding(coords=coords, eigenvalues=np.ones(3))
     once = normalize_hypersphere(emb)
     twice = normalize_hypersphere(once)
     np.testing.assert_allclose(once.coords, twice.coords, atol=1e-15)
@@ -198,8 +181,7 @@ def test_normalize_p3():
 
 
 def test_normalize_zero_column_rejected():
-    emb = Embedding(coords=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                    kind="commute_time", eigenvalues=np.ones(2))
+    emb = Embedding(coords=np.array([[1.0, 0.0], [0.0, 0.0]]), eigenvalues=np.ones(2))
     with pytest.raises(ZeroNormColumnError) as exc:
         normalize_hypersphere(emb)
     assert exc.value.vertex == 1
@@ -214,10 +196,7 @@ def test_embedding_stats_p3():
 def test_embedding_stats_diagonal():
     rng = np.random.default_rng(6)
     graph = random_connected_graph(rng, 30)
-    spectrum = dense_eig(
-        assemble(graph, "combinatorial").matrix.toarray(),
-        source_kind="combinatorial",
-    )
+    spectrum = dense_eig(assemble(graph))
     _, cov = embedding_stats(commute_time_embedding(spectrum, 5))
     off = cov - np.diag(np.diag(cov))
     assert np.abs(off).max() <= 1e-8

@@ -55,7 +55,7 @@ def test_torus_spectrum_is_simple():
     # eigenvalues make eigenvector-level comparisons ill-posed downstream
     mesh = bumpy_torus(24, 16)
     graph = build_graph(mesh, "gaussian")
-    spectrum = eigs_smallest(assemble(graph, "combinatorial"), 12)
+    spectrum = eigs_smallest(assemble(graph), 12)
     gaps = np.diff(spectrum.eigenvalues[1:])
     assert gaps.min() > 1e-8
 

@@ -5,7 +5,7 @@ from scipy.sparse import linalg as splinalg
 
 from specmatch.errors import DisconnectedGraphError, NonConvergenceError
 from specmatch.evaluation import synth_transform
-from specmatch.laplacian import LaplacianMatrix, assemble
+from specmatch.laplacian import assemble
 from specmatch.mesh_graph import Graph, build_graph
 from specmatch.shapes import bent_cylinder
 from specmatch.spectral import (
@@ -22,20 +22,14 @@ def k2_graph() -> Graph:
     return Graph.from_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def star_graph(n_leaves: int) -> Graph:
-    adj = np.zeros((n_leaves + 1, n_leaves + 1))
-    adj[0, 1:] = adj[1:, 0] = 1.0
-    return Graph.from_adjacency(adj)
-
-
 def test_p3_eigenvalues(p3):
-    lap = assemble(p3, "combinatorial")
+    lap = assemble(p3)
     spectrum = eigs_smallest(lap, 2)
     np.testing.assert_allclose(spectrum.eigenvalues, [0.0, 1.0, 3.0], atol=1e-9)
 
 
 def test_k2_eigenvalues():
-    lap = assemble(k2_graph(), "combinatorial")
+    lap = assemble(k2_graph())
     spectrum = eigs_smallest(lap, 1)
     np.testing.assert_allclose(spectrum.eigenvalues, [0.0, 2.0], atol=1e-10)
 
@@ -43,7 +37,7 @@ def test_k2_eigenvalues():
 def test_null_vector_is_constant():
     rng = np.random.default_rng(0)
     graph = random_connected_graph(rng, 40)
-    lap = assemble(graph, "combinatorial")
+    lap = assemble(graph)
     spectrum = eigs_smallest(lap, 5)
     u1 = spectrum.eigenvectors[:, 0]
     assert np.abs(u1 - u1[0]).max() < 1e-6
@@ -56,7 +50,7 @@ def test_dense_eig_diagonal():
 
 def test_dense_eig_p3_eigenvectors():
     L = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
-    spectrum = dense_eig(L, source_kind="combinatorial")
+    spectrum = dense_eig(L)
     np.testing.assert_allclose(spectrum.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
     u2 = spectrum.eigenvectors[:, 1]
     u3 = spectrum.eigenvectors[:, 2]
@@ -77,24 +71,23 @@ def test_solver_matches_dense_oracle():
     rng = np.random.default_rng(2)
     for n in (30, 120, 500):
         graph = random_connected_graph(rng, n)
-        for kind in ("combinatorial", "normalized"):
-            lap = assemble(graph, kind)
-            K = min(8, n - 2)
-            iterative = eigs_smallest(lap, K)
-            oracle = dense_eig(lap.matrix.toarray(), source_kind=kind)
-            np.testing.assert_allclose(
-                iterative.eigenvalues[1:], oracle.eigenvalues[1:K + 1],
-                rtol=1e-6, atol=1e-9,
-            )
-            # subspace agreement where the eigengap resolves the pairs
-            gaps = np.diff(oracle.eigenvalues[:K + 2])
-            for k in range(1, K + 1):
-                if min(gaps[k - 1], gaps[k]) <= 1e-6:
-                    continue
-                u = iterative.eigenvectors[:, k]
-                v = oracle.eigenvectors[:, k]
-                angle = np.arccos(np.clip(np.abs(u @ v), 0.0, 1.0))
-                assert angle <= 1e-4
+        lap = assemble(graph)
+        K = min(8, n - 2)
+        iterative = eigs_smallest(lap, K)
+        oracle = dense_eig(lap)
+        np.testing.assert_allclose(
+            iterative.eigenvalues[1:], oracle.eigenvalues[1:K + 1],
+            rtol=1e-6, atol=1e-9,
+        )
+        # subspace agreement where the eigengap resolves the pairs
+        gaps = np.diff(oracle.eigenvalues[:K + 2])
+        for k in range(1, K + 1):
+            if min(gaps[k - 1], gaps[k]) <= 1e-6:
+                continue
+            u = iterative.eigenvectors[:, k]
+            v = oracle.eigenvectors[:, k]
+            angle = np.arccos(np.clip(np.abs(u @ v), 0.0, 1.0))
+            assert angle <= 1e-4
 
 
 def test_spectrum_does_not_depend_on_vertex_order():
@@ -104,8 +97,8 @@ def test_spectrum_does_not_depend_on_vertex_order():
     spectra = []
     for seed in (133, 134, 135):
         mesh, _ = synth_transform(bent_cylinder(16, 40), "isometry_relabel", seed=seed)
-        lap = assemble(build_graph(mesh, "gaussian"), "combinatorial")
-        oracle = scipy.linalg.eigvalsh(lap.matrix.toarray(), subset_by_index=[0, 50])
+        lap = assemble(build_graph(mesh, "gaussian"))
+        oracle = scipy.linalg.eigvalsh(lap.toarray(), subset_by_index=[0, 50])
         vals = eigs_smallest(lap, 50).eigenvalues
         np.testing.assert_allclose(vals, oracle, rtol=1e-10, atol=1e-12)
         spectra.append(vals)
@@ -117,7 +110,7 @@ def test_fewer_pairs_are_the_leading_pairs_of_more():
     # a fixed-K match solves K+1 pairs; they must be the ones the 50-pair
     # solve would have given
     mesh, _ = synth_transform(bent_cylinder(12, 23), "isometry_relabel", seed=5)
-    lap = assemble(build_graph(mesh, "gaussian"), "combinatorial")
+    lap = assemble(build_graph(mesh, "gaussian"))
     few, many = eigs_smallest(lap, 10), eigs_smallest(lap, 50)
     assert few.n_pairs == 11
     np.testing.assert_allclose(few.eigenvalues, many.eigenvalues[:11], rtol=1e-12)
@@ -126,14 +119,14 @@ def test_fewer_pairs_are_the_leading_pairs_of_more():
 
 def test_method_reports_solver_path():
     rng = np.random.default_rng(7)
-    small = assemble(random_connected_graph(rng, 30), "combinatorial")
+    small = assemble(random_connected_graph(rng, 30))
     assert eigs_smallest(small, 8).method == "dense"
-    mesh = assemble(build_graph(bent_cylinder(16, 40), "gaussian"), "combinatorial")
+    mesh = assemble(build_graph(bent_cylinder(16, 40), "gaussian"))
     assert eigs_smallest(mesh, 50).method == "shift_invert"
 
 
 def test_arpack_failure_is_nonconvergence(monkeypatch):
-    lap = assemble(random_connected_graph(np.random.default_rng(8), 200), "combinatorial")
+    lap = assemble(random_connected_graph(np.random.default_rng(8), 200))
 
     def no_convergence(A, k, **kwargs):
         raise splinalg.ArpackNoConvergence(
@@ -146,18 +139,16 @@ def test_arpack_failure_is_nonconvergence(monkeypatch):
 
 def test_nan_laplacian_is_nonconvergence():
     # NaN residuals must fail the residual check, not slip past "> tol"
-    lap = assemble(random_connected_graph(np.random.default_rng(5), 40), "combinatorial")
-    matrix = lap.matrix.copy()
-    matrix.data[3] = np.nan
-    bad = LaplacianMatrix(kind="combinatorial", matrix=matrix, degrees=lap.degrees)
+    lap = assemble(random_connected_graph(np.random.default_rng(5), 40))
+    lap.data[3] = np.nan
     with pytest.raises(NonConvergenceError):
-        eigs_smallest(bad, 6)
+        eigs_smallest(lap, 6)
 
 
 def test_orthonormal_columns():
     rng = np.random.default_rng(3)
     graph = random_connected_graph(rng, 80)
-    spectrum = eigs_smallest(assemble(graph, "combinatorial"), 6)
+    spectrum = eigs_smallest(assemble(graph), 6)
     U = spectrum.eigenvectors
     np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-8)
 
@@ -165,13 +156,12 @@ def test_orthonormal_columns():
 def test_residuals_within_tolerance():
     rng = np.random.default_rng(4)
     graph = random_connected_graph(rng, 100)
-    lap = assemble(graph, "combinatorial")
+    lap = assemble(graph)
     spectrum = eigs_smallest(lap, 6)
-    A = lap.matrix
     for lam, res in zip(spectrum.eigenvalues, spectrum.residuals):
         assert res >= 0.0
     recomputed = np.linalg.norm(
-        A @ spectrum.eigenvectors - spectrum.eigenvectors * spectrum.eigenvalues,
+        lap @ spectrum.eigenvectors - spectrum.eigenvectors * spectrum.eigenvalues,
         axis=0,
     )
     np.testing.assert_allclose(recomputed, spectrum.residuals, atol=1e-12)
@@ -182,7 +172,7 @@ def test_deterministic_repeat(torus):
     from specmatch.mesh_graph import build_graph
 
     graph = build_graph(torus, "gaussian")
-    lap = asm(graph, "combinatorial")
+    lap = asm(graph)
     s1 = eigs_smallest(lap, 10)
     s2 = eigs_smallest(lap, 10)
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
@@ -199,37 +189,24 @@ def test_disconnected_graph_detected():
     # hand to exercise the solver-level second-zero-eigenvalue detection
     from scipy import sparse
 
-    from specmatch.laplacian import LaplacianMatrix
-
-    comb = sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - sparse.csr_matrix(adj)
-    lap = LaplacianMatrix(kind="combinatorial", matrix=sparse.csr_matrix(comb),
-                          degrees=np.asarray(adj.sum(axis=1)).ravel())
+    lap = sparse.csr_matrix(np.diag(adj.sum(axis=1)) - adj)
     with pytest.raises(DisconnectedGraphError):
         eigs_smallest(lap, 2)
 
 
 def test_check_properties_p3(p3):
-    lap = assemble(p3, "combinatorial")
-    spectrum = dense_eig(lap.matrix.toarray(), source_kind="combinatorial")
+    lap = assemble(p3)
+    spectrum = dense_eig(lap)
     report = check_spectral_properties(spectrum, p3)
     assert report.passed
     assert spectrum.eigenvalues.max() <= 2.0 * p3.degrees.max()
 
 
-def test_check_properties_k2_normalized():
-    graph = k2_graph()
-    lap = assemble(graph, "normalized")
-    spectrum = dense_eig(lap.matrix.toarray(), source_kind="normalized")
-    np.testing.assert_allclose(spectrum.eigenvalues, [0.0, 2.0], atol=1e-12)
-    report = check_spectral_properties(spectrum, graph)
-    assert report.passed
-
-
 def test_check_properties_random_graph():
     rng = np.random.default_rng(5)
     graph = random_connected_graph(rng, 50)
-    lap = assemble(graph, "combinatorial")
-    spectrum = dense_eig(lap.matrix.toarray(), source_kind="combinatorial")
+    lap = assemble(graph)
+    spectrum = dense_eig(lap)
     report = check_spectral_properties(spectrum, graph)
     assert report.passed
 
@@ -237,27 +214,15 @@ def test_check_properties_random_graph():
 def test_eigenvector_statistics():
     rng = np.random.default_rng(6)
     graph = random_connected_graph(rng, 60)
-    spectrum = eigs_smallest(assemble(graph, "combinatorial"), 8)
+    spectrum = eigs_smallest(assemble(graph), 8)
     U = spectrum.eigenvectors[:, 1:]
     n = graph.n
     assert np.abs(U.sum(axis=0)).max() <= 1e-8
     assert np.abs(np.mean(U * U, axis=0) - 1.0 / n).max() <= 1e-10
 
 
-def test_star_graph_normalized_not_centered():
-    # normalized-Laplacian eigenvectors need not sum to zero, but the
-    # degree-weighted sums always vanish
-    graph = star_graph(5)
-    lap = assemble(graph, "normalized")
-    spectrum = dense_eig(lap.matrix.toarray(), source_kind="normalized")
-    U = spectrum.eigenvectors[:, 1:]
-    assert np.abs(U.sum(axis=0)).max() > 1e-3
-    weighted = np.sqrt(graph.degrees) @ U
-    assert np.abs(weighted).max() <= 1e-8
-
-
 def test_dump_spectrum(tmp_path, p3):
-    spectrum = dense_eig(assemble(p3, "combinatorial").matrix.toarray())
+    spectrum = dense_eig(assemble(p3))
     path = tmp_path / "spec.txt"
     dump_spectrum(spectrum, str(path))
     lines = path.read_text().splitlines()

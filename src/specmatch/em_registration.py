@@ -18,6 +18,11 @@ from scipy.special import gammaln, logsumexp
 from .errors import NumericalError
 
 SIGMA_FLOOR = 1e-12
+# squared distances below this share of max |y|^2 + max |R x|^2 are
+# recomputed by differences in ``_sq_distances``; the expansion's error on
+# every other entry is then at most about K eps / NEAR_PAIR_SHARE of the
+# entry (about 1e-11 at K = 50)
+NEAR_PAIR_SHARE = 1e-3
 # a data point is matched when its largest posterior strictly exceeds this
 MAP_THRESHOLD = 0.5
 
@@ -77,8 +82,27 @@ def make_params(R: np.ndarray, sigma: float, n: int, pi_out: float) -> GmmParams
 
 
 def _sq_distances(X: np.ndarray, X_data: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """m x n squared distances between data points and transformed centers."""
-    return cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
+    """m x n squared distances between data points and transformed centers.
+
+    The matrix is |y_j|^2 + |R x_i|^2 - 2 y_j^T R x_i from one matrix
+    product. Its rounding error, about K eps (max |y|^2 + max |R x|^2),
+    would swamp the distance of a near-coincident pair, so the entries
+    below ``NEAR_PAIR_SHARE`` of that scale are recomputed from coordinate
+    differences; coincident pairs come out exactly 0.
+    """
+    Y = R @ X
+    y_sq = np.einsum("ij,ij->j", X_data, X_data)
+    c_sq = np.einsum("ij,ij->j", Y, Y)
+    D2 = X_data.T @ Y
+    D2 *= -2.0
+    D2 += y_sq[:, None]
+    D2 += c_sq
+    near = D2 < NEAR_PAIR_SHARE * (y_sq.max() + c_sq.max())
+    if near.any():
+        j, i = np.nonzero(near)
+        diff = X_data[:, j] - Y[:, i]
+        D2[j, i] = (diff * diff).sum(axis=0)
+    return D2
 
 
 def e_step(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
@@ -90,20 +114,25 @@ def e_step(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
     small variances do not underflow. A row's log-likelihood is its shift
     plus the log of its normalizer plus log pi_in - K/2 log(2 pi sigma).
     """
-    E = -D2 / (2.0 * params.sigma)
+    m, n = D2.shape
+    posterior = np.empty((m, n + 1))
+    # the exponents, their exponentials and the inlier posterior are all
+    # written in place into the first n columns
+    inlier = posterior[:, :n]
+    np.divide(D2, -2.0 * params.sigma, out=inlier)
     if params.uniform_const > 0.0:
         log_u = np.log(params.uniform_const) + (params.K / 2.0) * np.log(params.sigma)
     else:
         log_u = -np.inf
-    shift = np.maximum(E.max(axis=1), log_u)
-    num = np.exp(E - shift[:, None])
+    shift = np.maximum(inlier.max(axis=1), log_u)
+    inlier -= shift[:, None]
+    np.exp(inlier, out=inlier)
     out = np.exp(log_u - shift)   # zeros, without a warning, when log_u = -inf
-    denom = num.sum(axis=1) + out
-    posterior = np.empty((E.shape[0], E.shape[1] + 1))
-    posterior[:, :-1] = num / denom[:, None]
+    denom = inlier.sum(axis=1) + out
+    inlier /= denom[:, None]
     posterior[:, -1] = out / denom
     const = np.log(params.pi_in) - (params.K / 2.0) * np.log(2.0 * np.pi * params.sigma)
-    ll = float((shift + np.log(denom)).sum() + E.shape[0] * const)
+    ll = float((shift + np.log(denom)).sum() + m * const)
     return posterior, ll
 
 
@@ -139,9 +168,10 @@ def m_step(
 
 def log_likelihood(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> float:
     """Observed-data log-likelihood of the mixture (the EM objective),
-    from its own distance matrix; ``e_step`` returns the same value."""
+    from its own distance matrix, built by direct differences rather than
+    by ``_sq_distances``; ``e_step`` returns the same value."""
     K = params.K
-    D2 = _sq_distances(X, X_data, params.R)
+    D2 = cdist(X_data.T, (params.R @ X).T, metric="sqeuclidean")
     log_gauss = (
         np.log(params.pi_in)
         - (K / 2.0) * np.log(2.0 * np.pi * params.sigma)

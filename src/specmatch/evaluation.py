@@ -144,7 +144,7 @@ def synth_transform(
 ) -> tuple[Mesh, GroundTruth]:
     """Apply a benchmark-style deformation and return the exact ground truth.
 
-    kinds: isometry_relabel (vertex relabeling), noise (vertex jitter as a
+    kinds: isometry_relabel (vertex relabeling; no parameter), noise (vertex jitter as a
     fraction of the mean edge length), holes (fraction of faces removed),
     sampling (vertex decimation keeping the given ratio), local_scale
     (scaling of a geodesic region). The ground truth is the identity on
@@ -152,6 +152,8 @@ def synth_transform(
     """
     rng = np.random.default_rng(seed)
     if kind == "isometry_relabel":
+        if param is not None:
+            raise InputError("isometry_relabel takes no parameter")
         return _relabel(mesh, rng)
     if kind == "noise":
         return _noise(mesh, 0.05 if param is None else param, rng)

@@ -26,6 +26,24 @@ class IsoResult:
     degenerate: bool = False     # spectrum had near-equal adjacent eigenvalues
 
 
+def _symmetric_pair(A_A, A_B):
+    """Both inputs as float arrays, checked to be symmetric and square of
+    one size: the eigensolver reads only one triangle of a matrix, so a
+    non-symmetric input would be matched as a different graph."""
+    A_A = np.asarray(A_A, dtype=float)
+    A_B = np.asarray(A_B, dtype=float)
+    n = A_A.shape[0]
+    if A_A.shape != A_B.shape or A_A.shape != (n, n):
+        raise InputError("inputs must be square matrices of equal size")
+    for name, A in (("first", A_A), ("second", A_B)):
+        # the cheap exact comparison settles the usual, exactly symmetric
+        # input; asymmetry at rounding level (Q A Q^T) is accepted
+        if not np.array_equal(A, A.T) and (
+                np.abs(A - A.T).max() > 1e-12 * max(np.abs(A).max(), 1.0)):
+            raise InputError(f"the {name} matrix is not symmetric")
+    return A_A, A_B
+
+
 def _checked_eigh(A, gap_tol: float, strict: bool):
     vals, vecs = np.linalg.eigh(A)
     gaps = np.diff(vals)
@@ -51,11 +69,8 @@ def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | N
     conjugation identity. Returns None when the spectra differ or no
     sign choice produces a permutation.
     """
-    A_A = np.asarray(A_A, dtype=float)
-    A_B = np.asarray(A_B, dtype=float)
+    A_A, A_B = _symmetric_pair(A_A, A_B)
     n = A_A.shape[0]
-    if A_A.shape != A_B.shape or A_A.shape != (n, n):
-        raise InputError("inputs must be square matrices of equal size")
     if n > EXACT_SIZE_LIMIT:
         raise InputError(f"exact enumeration limited to n <= {EXACT_SIZE_LIMIT}")
 
@@ -93,11 +108,7 @@ def umeyama_match(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult:
     permutations with the assignment solver, then recovers per-column
     signs. Near-degenerate spectra are flagged but still processed.
     """
-    A_A = np.asarray(A_A, dtype=float)
-    A_B = np.asarray(A_B, dtype=float)
-    n = A_A.shape[0]
-    if A_A.shape != A_B.shape or A_A.shape != (n, n):
-        raise InputError("inputs must be square matrices of equal size")
+    A_A, A_B = _symmetric_pair(A_A, A_B)
 
     _, U_A, deg_a = _checked_eigh(A_A, gap_tol, strict=False)
     _, U_B, deg_b = _checked_eigh(A_B, gap_tol, strict=False)
@@ -133,10 +144,7 @@ def hoffman_wielandt_gap(A_A, A_B) -> tuple[float, float]:
     measures how far the two matrices are from being aligned by an
     orthogonal conjugation.
     """
-    A_A = np.asarray(A_A, dtype=float)
-    A_B = np.asarray(A_B, dtype=float)
-    if A_A.shape != A_B.shape:
-        raise InputError("inputs must have equal shape")
+    A_A, A_B = _symmetric_pair(A_A, A_B)
     alpha = np.sort(np.linalg.eigvalsh(A_A))
     beta = np.sort(np.linalg.eigvalsh(A_B))
     lower = float(np.sum((alpha - beta) ** 2))

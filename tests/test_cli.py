@@ -267,6 +267,7 @@ def test_malformed_triplets_are_an_input_failure(tmp_path, capsys, bad_line):
     ("holes", "1.5", "hole fraction"),
     ("sampling", "0", "sampling ratio"),
     ("local_scale", "0", "scale factor"),
+    ("isometry_relabel", "7", "takes no parameter"),
 ])
 def test_out_of_range_synth_parameter_is_an_input_failure(tmp_path, torus_off, capsys,
                                                           kind, param, message):
@@ -282,7 +283,11 @@ def test_out_of_range_synth_parameter_is_an_input_failure(tmp_path, torus_off, c
     ("0 1 1.0\n1 0 1.0\n", "0 2 1.0\n2 0 1.0\n", "exact", "equal size"),
     ("0 12 1.0\n12 0 1.0\n", "0 12 1.0\n12 0 1.0\n", "exact", "n <= 12"),
     ("\n", "\n", "umeyama", "a.txt: no"),
-], ids=["sizes-umeyama", "sizes-exact", "exact-13-rows", "no-triplets"])
+    # a directed path: the eigensolver would read only its lower triangle
+    ("0 1 1.0\n1 2 1.0\n", "0 1 1.0\n1 2 1.0\n", "umeyama", "not symmetric"),
+    ("0 1 1.0\n1 2 1.0\n", "0 1 1.0\n1 2 1.0\n", "exact", "not symmetric"),
+], ids=["sizes-umeyama", "sizes-exact", "exact-13-rows", "no-triplets",
+        "asymmetric-umeyama", "asymmetric-exact"])
 def test_unmatchable_triplet_matrices_are_an_input_failure(tmp_path, capsys, text_a,
                                                            text_b, method, message):
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"

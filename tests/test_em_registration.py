@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import special_ortho_group
 
-from specmatch import em_registration
+from specmatch import em_registration, laplacian, mesh_graph
+from specmatch.embedding import commute_time_embedding, normalize_hypersphere
 from specmatch.em_registration import (
     Correspondence,
     EmOptions,
@@ -17,6 +19,8 @@ from specmatch.em_registration import (
     unit_ball_volume,
     write_correspondence_tsv,
 )
+from specmatch.shapes import bent_cylinder
+from specmatch.spectral import dense_eig
 
 SIGMA_FLOOR = 1e-12
 
@@ -42,6 +46,60 @@ def test_make_params_validation():
     with pytest.raises(ValueError):
         GmmParams(R=np.array([[1.0, 1.0], [0.0, 1.0]]), sigma=1.0,
                   pi_in=0.1, pi_out=0.0, uniform_const=0.0)
+
+
+def _direct_sq_distances(X, X_data, R):
+    return cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
+
+
+@pytest.fixture(scope="module")
+def cylinder_spectrum():
+    mesh = bent_cylinder(8, 20)
+    return dense_eig(laplacian.assemble(mesh_graph.build_graph(mesh, "gaussian")))
+
+
+@pytest.mark.parametrize("scaling", ["sm2", "sm1", "sm1-spread"])
+def test_sq_distances_match_direct_differences(cylinder_spectrum, scaling):
+    # sm2 points lie on the unit sphere; sm1 rows scale as lambda^{-1/2},
+    # and "spread" also puts the point norms over three orders of magnitude
+    K = 40
+    emb = commute_time_embedding(cylinder_spectrum, K)
+    X = normalize_hypersphere(emb).coords if scaling == "sm2" else emb.coords
+    n = X.shape[1]
+    if scaling == "sm1-spread":
+        X = X * np.logspace(-3.0, 0.0, n)
+    rng = np.random.default_rng(17)
+    R = special_ortho_group.rvs(K, random_state=18)
+    perm = rng.permutation(n)
+    # half the data points coincide with their center, half are jittered
+    data = (R @ X)[:, perm]
+    jittered = rng.random(n) < 0.5
+    data[:, jittered] += (0.05 * np.linalg.norm(X[:, perm[jittered]], axis=0)
+                          * rng.standard_normal((K, jittered.sum())))
+    D2 = _sq_distances(X, data, R)
+    np.testing.assert_allclose(D2, _direct_sq_distances(X, data, R), rtol=1e-12, atol=0.0)
+    coincident = np.flatnonzero(~jittered)
+    assert np.all(D2[coincident, perm[coincident]] == 0.0)
+
+
+def test_em_on_near_exact_copy_matches_direct_distances(monkeypatch):
+    # a copy within 1e-10 drives sigma to the floor, where the distance
+    # expansion's rounding alone would move the likelihood by about the
+    # convergence tolerance; the near pairs' recompute keeps the trace that
+    # direct differences give
+    rng = np.random.default_rng(19)
+    K, n = 10, 60
+    X = rng.standard_normal((K, n))
+    X /= np.linalg.norm(X, axis=0)
+    Q = special_ortho_group.rvs(K, random_state=20)
+    data = Q @ X[:, rng.permutation(n)] + 1e-10 * rng.standard_normal((K, n))
+    corr = em_register(X, data, Q)
+    assert corr.params.sigma == SIGMA_FLOOR
+    assert corr.converged and corr.iterations == 2
+    monkeypatch.setattr(em_registration, "_sq_distances", _direct_sq_distances)
+    direct = em_register(X, data, Q)
+    np.testing.assert_allclose(corr.log_likelihood_trace, direct.log_likelihood_trace,
+                               rtol=1e-14, atol=0.0)
 
 
 def test_e_step_single_center_no_outlier():
@@ -113,8 +171,6 @@ def test_m_step_uniform_posterior_sigma():
     data = rng.standard_normal((2, 4))
     alpha = np.full((4, 5), 1.0 / 5.0)
     R, sigma, _ = m_step(X, data, alpha)
-    from scipy.spatial.distance import cdist
-
     D2 = cdist(data.T, (R @ X).T, metric="sqeuclidean")
     expected = (alpha * D2).sum() / (2.0 * alpha.sum())
     assert sigma == pytest.approx(expected, rel=1e-12)
@@ -225,13 +281,21 @@ def test_likelihood_consistent_with_e_step():
 
 
 @pytest.mark.parametrize("pi_out", [0.0, 0.01, 0.2])
-@pytest.mark.parametrize("sigma", [1e-12, 1e-6, 0.05, 3.0])
-def test_e_step_log_likelihood_matches_reference(pi_out, sigma):
+@pytest.mark.parametrize("sigma, near", [
+    *(pytest.param(sigma, False, id=str(sigma)) for sigma in (1e-12, 1e-6, 0.05, 3.0)),
+    # data within 1e-10 of the transformed centers at the variance floor,
+    # where the expansion's rounding alone would move the likelihood
+    pytest.param(1e-12, True, id="1e-12-near"),
+])
+def test_e_step_log_likelihood_matches_reference(pi_out, sigma, near):
     rng = np.random.default_rng(13)
     X = rng.standard_normal((4, 9))
     X /= np.linalg.norm(X, axis=0)
-    data = X[:, rng.permutation(9)[:7]] + 0.01 * rng.standard_normal((4, 7))
+    cols = rng.permutation(9)[:7]
+    data = X[:, cols] + 0.01 * rng.standard_normal((4, 7))
     R = special_ortho_group.rvs(4, random_state=14)
+    if near:
+        data = R @ X[:, cols] + 1e-10 * rng.standard_normal((4, 7))
     params = make_params(R, sigma, n=9, pi_out=pi_out)
     _, ll = e_step(_sq_distances(X, data, params.R), params)
     assert ll == pytest.approx(log_likelihood(X, data, params), rel=1e-12)

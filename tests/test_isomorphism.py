@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specmatch.errors import DegenerateSpectrumError
+from specmatch.errors import DegenerateSpectrumError, InputError
 from specmatch.isomorphism import (
     exact_spectral_isomorphism,
     hoffman_wielandt_gap,
@@ -167,3 +167,14 @@ def test_umeyama_trace_bound():
 
         perm = hungarian(score, "max")
         assert score[np.arange(n), perm.mapping].sum() <= n + 1e-10
+
+
+@pytest.mark.parametrize("fn", [exact_spectral_isomorphism, umeyama_match,
+                                hoffman_wielandt_gap])
+def test_non_symmetric_matrix_rejected(fn):
+    # a directed path: the eigensolver would read only its lower triangle
+    A = np.diag([1.0, 1.0], 1)
+    with pytest.raises(InputError, match="first matrix is not symmetric"):
+        fn(A, A.T)
+    with pytest.raises(InputError, match="second matrix is not symmetric"):
+        fn(A + A.T, A)

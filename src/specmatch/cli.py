@@ -36,9 +36,6 @@ EXIT_IO = 5          # a file could not be opened, read or written
 def _add_front_end_flags(p: argparse.ArgumentParser) -> None:
     """Flags of the mesh -> spectrum -> embedding front end that ``match``
     and ``embed`` share. Their defaults are ``PipelineConfig``'s."""
-    p.add_argument("--weighting", choices=["uniform", "gaussian"])
-    p.add_argument("--sigma", type=float,
-                   help="gaussian weight scale (default: mean edge length)")
     p.add_argument("--k", type=int,
                    help="fixed embedding dimension (default: pick via --theta)")
     p.add_argument("--theta", type=float,
@@ -93,18 +90,24 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _read_pairs_tsv(path):
-    """The (j, i) integer pairs that open each non-blank line of a TSV."""
-    pairs = []
+def _read_pairs_tsv(path) -> dict:
+    """{j: i} from the integer pair that opens each non-blank line of a TSV.
+    Each source vertex j is non-negative and given once; a target i of -1
+    means unmatched."""
+    pairs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
                 continue
             try:
-                pairs.append((int(tok[0]), int(tok[1])))
+                j, i = int(tok[0]), int(tok[1])
             except (ValueError, IndexError):
                 raise InputError(f"{path}:{lineno}: expected 'j i', got {line.strip()!r}")
+            if j < 0 or j in pairs:
+                what = "negative" if j < 0 else "repeated"
+                raise InputError(f"{path}:{lineno}: {what} source vertex {j}")
+            pairs[j] = i
     return pairs
 
 
@@ -112,10 +115,10 @@ def cmd_eval(args) -> int:
     mesh_a = _mesh_graph.load_mesh(args.mesh_a)
     pairs = _read_pairs_tsv(args.corr)
     corr = types.SimpleNamespace(
-        map_matches=[(j, i) for j, i in pairs if i >= 0],
-        unmatched=[j for j, i in pairs if i < 0],
+        map_matches=[(j, i) for j, i in pairs.items() if i >= 0],
+        unmatched=[j for j, i in pairs.items() if i < 0],
     )
-    gt = _evaluation.GroundTruth(dict(_read_pairs_tsv(args.gt)))
+    gt = _evaluation.GroundTruth(_read_pairs_tsv(args.gt))
     report = _evaluation.registration_error(corr, gt, mesh_a)
     _write_json(
         {
@@ -238,12 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
     _add_front_end_flags(p)
-    # the alignment and EM stages, which only match runs
+    # the alignment stage, which only match runs
     p.add_argument("--sig-threshold", type=float,
                    help="histogram similarity threshold for keeping eigenvectors")
-    p.add_argument("--pi-out", type=float)
-    p.add_argument("--em-tol", type=float)
-    p.add_argument("--em-max-iter", type=int)
     p.add_argument("--out-corr", default="correspondence.tsv")
     p.add_argument("--out-report", default="-")
     p.set_defaults(fn=cmd_match, parser=p)
@@ -266,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh")
     p.add_argument("--kind", choices=list(_evaluation.STRENGTH_RAMPS),
                    required=True)
-    p.add_argument("--param", type=float, default=None)
-    p.add_argument("--level", type=int, choices=range(1, 6), default=None,
-                   help="strength level 1-5 (alternative to --param)")
+    strength = p.add_mutually_exclusive_group()
+    strength.add_argument("--param", type=float, default=None)
+    strength.add_argument("--level", type=int, choices=range(1, 6), default=None,
+                          help="strength level 1-5 (alternative to --param)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-mesh", default="transformed.off")
     p.add_argument("--out-gt", default="ground_truth.tsv")

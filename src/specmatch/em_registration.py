@@ -25,6 +25,8 @@ SIGMA_FLOOR = 1e-12
 NEAR_PAIR_SHARE = 1e-3
 # a data point is matched when its largest posterior strictly exceeds this
 MAP_THRESHOLD = 0.5
+# EM has converged once the relative log-likelihood change drops below this
+TOL = 1e-6
 
 
 class LikelihoodError(NumericalError):
@@ -189,9 +191,12 @@ def log_likelihood(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> floa
 
 @dataclass(frozen=True)
 class EmOptions:
-    tol: float = 1e-6
     max_iter: int = 100
-    pi_out: float = 0.01
+    pi_out: float = 0.01     # checked by ``make_params``
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ def em_register(
 
     X is K x n (cluster centers), X_data is K x m. R0 is typically the
     signed permutation produced by the eigenbasis alignment. Iterates
-    until the relative log-likelihood change drops below ``opts.tol`` or
+    until the relative log-likelihood change drops below ``TOL`` or
     ``opts.max_iter`` is hit, then accepts the assignments whose
     posterior strictly exceeds ``MAP_THRESHOLD``. Each iteration is an
     m-step followed by an e-step, and each e-step builds one distance
@@ -256,9 +261,9 @@ def em_register(
         params = make_params(R, sigma, n, pi_out=opts.pi_out)
         iterations += 1
         # converged once the likelihood this m-step started from moved less
-        # than tol from the one before; one more e-step gives the result
+        # than TOL from the one before; one more e-step gives the result
         converged = iterations > 1 and (
-            abs(ll - trace[-2]) / max(abs(trace[-2]), 1e-30) < opts.tol
+            abs(ll - trace[-2]) / max(abs(trace[-2]), 1e-30) < TOL
         )
         D2 = _sq_distances(X, X_data, params.R)
 

@@ -61,9 +61,9 @@ def _geodesic_graph(mesh: Mesh):
     return g.adjacency
 
 
-def _sweep_sources(n: int, sweeps: int = 20, seed: int = 0) -> np.ndarray:
-    """The random sources of a diameter estimate."""
-    return np.random.default_rng(seed).choice(n, size=min(sweeps, n), replace=False)
+def _sweep_sources(n: int, sweeps: int = 20) -> np.ndarray:
+    """The random sources of a diameter estimate, the same for every call."""
+    return np.random.default_rng(0).choice(n, size=min(sweeps, n), replace=False)
 
 
 def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
@@ -71,9 +71,9 @@ def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
     return dijkstra(_geodesic_graph(mesh), directed=False, indices=source)
 
 
-def geodesic_diameter(mesh: Mesh, sweeps: int = 20, seed: int = 0) -> float:
+def geodesic_diameter(mesh: Mesh, sweeps: int = 20) -> float:
     """Max distance over a set of random-source sweeps (diameter estimate)."""
-    return float(geodesic_distances(mesh, _sweep_sources(mesh.n_vertices, sweeps, seed)).max())
+    return float(geodesic_distances(mesh, _sweep_sources(mesh.n_vertices, sweeps)).max())
 
 
 def registration_error(

@@ -13,6 +13,8 @@ from .errors import DegenerateSpectrumError, InputError
 from .matutil import PermutationMatrix, frobenius_norm, hungarian
 
 EXACT_SIZE_LIMIT = 12
+# adjacent eigenvalues closer than this make a spectrum near-degenerate
+GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,13 @@ def _symmetric_pair(A_A, A_B):
     return A_A, A_B
 
 
-def _checked_eigh(A, gap_tol: float, strict: bool):
+def _checked_eigh(A, strict: bool):
     vals, vecs = np.linalg.eigh(A)
     gaps = np.diff(vals)
-    degenerate = bool(gaps.size and gaps.min() <= gap_tol)
+    degenerate = bool(gaps.size and gaps.min() <= GAP_TOL)
     if degenerate and strict:
         raise DegenerateSpectrumError(
-            f"adjacent eigenvalue gap {gaps.min():.3e} below {gap_tol:.3e}"
+            f"adjacent eigenvalue gap {gaps.min():.3e} below {GAP_TOL:.3e}"
         )
     return vals, vecs, degenerate
 
@@ -61,7 +63,7 @@ def _conjugation_residual(A_A, A_B, perm: PermutationMatrix) -> float:
     return frobenius_norm(A_A - A_B[np.ix_(p, p)])
 
 
-def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | None:
+def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
     """Exact isomorphism by enumerating the 2^n eigenvector sign choices.
 
     Each sign matrix S yields a candidate U_B S U_A^T; candidates whose
@@ -74,8 +76,8 @@ def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | N
     if n > EXACT_SIZE_LIMIT:
         raise InputError(f"exact enumeration limited to n <= {EXACT_SIZE_LIMIT}")
 
-    vals_a, U_A, _ = _checked_eigh(A_A, gap_tol, strict=True)
-    vals_b, U_B, _ = _checked_eigh(A_B, gap_tol, strict=True)
+    vals_a, U_A, _ = _checked_eigh(A_A, strict=True)
+    vals_b, U_B, _ = _checked_eigh(A_B, strict=True)
     scale = max(1.0, np.abs(vals_a).max())
     if np.abs(vals_a - vals_b).max() > 1e-6 * scale:
         return None  # different spectra: no isomorphism possible
@@ -100,7 +102,7 @@ def exact_spectral_isomorphism(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult | N
     return None
 
 
-def umeyama_match(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult:
+def umeyama_match(A_A, A_B) -> IsoResult:
     """Relaxed spectral matching via absolute-eigenvector assignment.
 
     Builds the entrywise absolute eigenvector matrices (ascending
@@ -110,8 +112,8 @@ def umeyama_match(A_A, A_B, gap_tol: float = 1e-8) -> IsoResult:
     """
     A_A, A_B = _symmetric_pair(A_A, A_B)
 
-    _, U_A, deg_a = _checked_eigh(A_A, gap_tol, strict=False)
-    _, U_B, deg_b = _checked_eigh(A_B, gap_tol, strict=False)
+    _, U_A, deg_a = _checked_eigh(A_A, strict=False)
+    _, U_B, deg_b = _checked_eigh(A_B, strict=False)
     degenerate = deg_a or deg_b
     if degenerate:
         warnings.warn(

@@ -9,6 +9,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import SpecmatchError
 
+# tolerance of the permutation and doubly-stochastic tests and of Birkhoff peeling
+TOL = 1e-9
+
 
 class BirkhoffError(SpecmatchError):
     """No permutation fits inside the positive support: input is not doubly stochastic."""
@@ -51,12 +54,11 @@ class DoublyStochasticMatrix:
     """Non-negative square matrix whose row and column sums are all 1."""
 
     entries: np.ndarray
-    tol: float = 1e-9
 
     def __post_init__(self):
         A = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", A)
-        if not is_doubly_stochastic(A, self.tol):
+        if not is_doubly_stochastic(A):
             raise ValueError("matrix is not doubly stochastic within tolerance")
 
 
@@ -83,13 +85,13 @@ def hungarian(cost, sense: str = "min") -> PermutationMatrix:
     return PermutationMatrix(cols)
 
 
-def is_permutation(A, tol: float = 1e-9) -> bool:
-    """True iff A is (within tol) a 0/1 matrix with one 1 per row and column."""
+def is_permutation(A) -> bool:
+    """True iff A is (within TOL) a 0/1 matrix with one 1 per row and column."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
-    near_one = np.abs(A - 1.0) <= tol
-    near_zero = np.abs(A) <= tol
+    near_one = np.abs(A - 1.0) <= TOL
+    near_zero = np.abs(A) <= TOL
     if not np.all(near_one | near_zero):
         return False
     return bool(
@@ -97,20 +99,20 @@ def is_permutation(A, tol: float = 1e-9) -> bool:
     )
 
 
-def is_doubly_stochastic(A, tol: float = 1e-9) -> bool:
+def is_doubly_stochastic(A) -> bool:
     """True iff A is non-negative with all row and column sums equal to 1."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
-    if (A < -tol).any():
+    if (A < -TOL).any():
         return False
     return bool(
-        np.all(np.abs(A.sum(axis=0) - 1.0) <= tol)
-        and np.all(np.abs(A.sum(axis=1) - 1.0) <= tol)
+        np.all(np.abs(A.sum(axis=0) - 1.0) <= TOL)
+        and np.all(np.abs(A.sum(axis=1) - 1.0) <= TOL)
     )
 
 
-def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMatrix]]:
+def birkhoff_decompose(X) -> list[tuple[float, PermutationMatrix]]:
     """Decompose a doubly stochastic matrix into a convex sum of permutations.
 
     Greedy peeling: each term is the maximum-weight assignment on the
@@ -124,24 +126,24 @@ def birkhoff_decompose(X, tol: float = 1e-9) -> list[tuple[float, PermutationMat
     Each step subtracts the smallest matched entry, which zeroes it, so
     there are at most (n-1)^2 + 1 terms.
 
-    The support is ``R > 0``, not ``R > tol``: near the end the residual's
-    entries sit around ``tol``, and a cut there can leave no perfect
+    The support is ``R > 0``, not ``R > TOL``: near the end the residual's
+    entries sit around ``TOL``, and a cut there can leave no perfect
     matching while R still has mass. The loop runs while a row sum of R
-    exceeds ``tol``. Every term lowers all row sums by its weight, so this
-    tests R itself, leaves no entry above ``tol``, and bounds 1 - sum(w)
-    by ``tol`` plus the input's own row-sum error. Stopping once no single
-    entry exceeds ``tol`` can leave row sums of several times ``tol``.
+    exceeds ``TOL``. Every term lowers all row sums by its weight, so this
+    tests R itself, leaves no entry above ``TOL``, and bounds 1 - sum(w)
+    by ``TOL`` plus the input's own row-sum error. Stopping once no single
+    entry exceeds ``TOL`` can leave row sums of several times ``TOL``.
     """
     if isinstance(X, DoublyStochasticMatrix):
         R = X.entries.copy()
     else:
         R = np.asarray(X, dtype=float).copy()
-        if not is_doubly_stochastic(R, tol):
+        if not is_doubly_stochastic(R):
             raise ValueError("input is not doubly stochastic within tolerance")
     n = R.shape[0]
     rows = np.arange(n)
     terms: list[tuple[float, PermutationMatrix]] = []
-    while R.sum(axis=1).max() > tol:
+    while R.sum(axis=1).max() > TOL:
         perm = hungarian(np.where(R > 0, R, -float(n)), sense="max")
         matched = R[rows, perm.mapping]
         if (matched <= 0).any():

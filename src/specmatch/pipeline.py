@@ -20,23 +20,16 @@ K_MAX_DEFAULT = 50
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All knobs of a run and the only copy of their defaults; ranges checked on construction."""
+    """All knobs of a run and the only copy of their defaults; ranges checked
+    on construction. The graph weights (Gaussian, with sigma the mean edge
+    length) and the EM options (``EmOptions()``) are fixed."""
 
-    weighting: str = "gaussian"
-    sigma: float | None = None
     k: int | None = None
     theta: float = 0.95
     embedding: str = "sm2"          # sm1 = commute-time, sm2 = hypersphere
     sig_threshold: float = _alignment.DEFAULT_THRESHOLD
-    pi_out: float = _em.EmOptions.pi_out
-    em_tol: float = _em.EmOptions.tol
-    em_max_iter: int = _em.EmOptions.max_iter
 
     def __post_init__(self):
-        if self.weighting not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.sigma is not None and not 0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0.0 < self.theta < 1.0:
@@ -45,10 +38,6 @@ class PipelineConfig:
             raise ValueError(f"embedding must be 'sm1' or 'sm2', got {self.embedding!r}")
         if not -1.0 <= self.sig_threshold <= 1.0:
             raise ValueError("sig-threshold must be in [-1,1]")
-        if not 0.0 <= self.pi_out < 1.0:
-            raise ValueError("pi-out must be in [0,1)")
-        if self.em_tol <= 0 or self.em_max_iter < 1:
-            raise ValueError("invalid EM options")
 
 
 @dataclass(frozen=True)
@@ -67,8 +56,8 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
-    """The shared front end of ``match`` and ``embed``: each mesh's graph,
-    the smallest eigenpairs of its combinatorial Laplacian, and the
+    """The shared front end of ``match`` and ``embed``: each mesh's
+    Gaussian-weighted graph, the smallest eigenpairs of its combinatorial Laplacian, and the
     embedding dimension K.
 
     k_cap is the ``K_MAX_DEFAULT`` cap or one less than the smallest vertex
@@ -79,8 +68,8 @@ def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
     pairs. Returns (graphs, spectra, selection), the last being the report
     block that holds K.
     """
-    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, config.weighting,
-                     config.sigma) for mesh in meshes]
+    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, "gaussian")
+              for mesh in meshes]
     laps = [_stage("laplacian", _laplacian.assemble, graph) for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
     fixed_k = None if config.k is None else min(config.k, k_cap)
@@ -146,9 +135,7 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     X_b = spectral_embedding(spec_b, K, config.embedding, align.permutation[kept]).coords
     R0 = np.diag(align.signs[kept])
 
-    opts = _em.EmOptions(tol=config.em_tol, max_iter=config.em_max_iter,
-                         pi_out=config.pi_out)
-    corr = _stage("em_registration", _em.em_register, X_a, X_b, R0, opts)
+    corr = _stage("em_registration", _em.em_register, X_a, X_b, R0)
     report["em"] = {
         "iterations": corr.iterations,
         "converged": corr.converged,

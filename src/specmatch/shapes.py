@@ -20,7 +20,7 @@ def _radial_bump(p: np.ndarray, amount: float) -> np.ndarray:
     return 1.0 + amount * mod
 
 
-def bumpy_sphere(subdivisions: int = 4, bump: float = 0.15) -> Mesh:
+def bumpy_sphere(subdivisions: int = 4) -> Mesh:
     """Subdivided icosahedron with a deterministic radial modulation.
 
     subdivisions=3 gives 642 vertices, 4 gives 2562.
@@ -61,26 +61,25 @@ def bumpy_sphere(subdivisions: int = 4, bump: float = 0.15) -> Mesh:
         faces = new_faces
 
     v = np.array(verts)
-    v = v * _radial_bump(v, bump)[:, None]
+    v = v * _radial_bump(v, 0.15)[:, None]
     return Mesh(vertices=v, faces=np.array(faces, dtype=int))
 
 
-def bumpy_torus(n_u: int = 48, n_v: int = 32, R: float = 1.0, r: float = 0.35,
-                bump: float = 0.2) -> Mesh:
+def bumpy_torus(n_u: int = 48, n_v: int = 32) -> Mesh:
     """Torus grid with an angle-dependent tube radius (n_u * n_v vertices)."""
     u = 2.0 * np.pi * np.arange(n_u) / n_u
     v = 2.0 * np.pi * np.arange(n_v) / n_v
     uu, vv = np.meshgrid(u, v, indexing="ij")
     # low-frequency terms with generic phases plus a mixed u+v term, so no
     # grid shift or reflection maps the surface onto itself
-    tube = r * (1.0 + bump * (
+    tube = 0.35 * (1.0 + 0.2 * (
         0.5 * np.sin(uu + 0.9)
         + 0.3 * np.cos(2.0 * uu + 0.4)
         + 0.4 * np.cos(vv + 1.3)
         + 0.3 * np.sin(uu + 2.0 * vv + 0.7)
     ))
-    x = (R + tube * np.cos(vv)) * np.cos(uu)
-    y = (R + tube * np.cos(vv)) * np.sin(uu)
+    x = (1.0 + tube * np.cos(vv)) * np.cos(uu)
+    y = (1.0 + tube * np.cos(vv)) * np.sin(uu)
     z = tube * np.sin(vv)
     vertices = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
 
@@ -95,17 +94,16 @@ def bumpy_torus(n_u: int = 48, n_v: int = 32, R: float = 1.0, r: float = 0.35,
     return Mesh(vertices=vertices, faces=np.array(faces, dtype=int))
 
 
-def bent_cylinder(n_ring: int = 24, n_len: int = 60, radius: float = 0.3,
-                  length: float = 4.0, bend: float = 1.0) -> Mesh:
+def bent_cylinder(n_ring: int = 24, n_len: int = 60) -> Mesh:
     """Capped cylinder whose axis bends along its length (an elbow).
 
     Vertex count: n_ring * n_len + 2 (two cap apices).
     """
     t = np.linspace(0.0, 1.0, n_len)
     # centerline: straight then arcing; derivative-continuous enough for a mesh
-    cx = length * t
-    cy = bend * t ** 2
-    cz = 0.3 * bend * np.sin(2.0 * np.pi * t) * t
+    cx = 4.0 * t
+    cy = t ** 2
+    cz = 0.3 * np.sin(2.0 * np.pi * t) * t
     centers = np.stack([cx, cy, cz], axis=1)
 
     # local frames by finite-difference tangents
@@ -123,7 +121,7 @@ def bent_cylinder(n_ring: int = 24, n_len: int = 60, radius: float = 0.3,
         # taper toward the ends so the cap fans use short edges (long
         # edges would get negligible gaussian weights downstream)
         envelope = np.tanh((min(t[k], 1.0 - t[k]) + 0.02) / 0.07)
-        ring_r = radius * envelope * (1.0 + 0.25 * np.sin(3.0 * t[k] * np.pi + 0.7))
+        ring_r = 0.3 * envelope * (1.0 + 0.25 * np.sin(3.0 * t[k] * np.pi + 0.7))
         ring_radii[k] = ring_r
         ring = (
             centers[k]

@@ -15,6 +15,8 @@ DENSE_LIMIT = 2000
 # shift-invert pole as a multiple of ||L||_1: just below the zero
 # eigenvalue, so the sparse LU factors the positive definite L + 1e-6 ||L||_1 I
 SHIFT = -1e-6
+# absolute tolerance of the tests in check_spectral_properties
+PROPERTY_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,24 +141,22 @@ class SpectralReport:
                     self.eigenvalue_bound))
 
 
-def check_spectral_properties(
-    spectrum: Spectrum, graph: Graph, atol: float = 1e-8
-) -> SpectralReport:
+def check_spectral_properties(spectrum: Spectrum, graph: Graph) -> SpectralReport:
     """Verify the analytic constraints a spectrum of D - W must satisfy."""
     U = spectrum.eigenvectors[:, 1:]
     n = spectrum.n
     sums = U.sum(axis=0)
-    zero_sum = bool(np.all(np.abs(sums) <= atol * np.sqrt(n)))
+    zero_sum = bool(np.all(np.abs(sums) <= PROPERTY_ATOL * np.sqrt(n)))
     variances = np.mean(U * U, axis=0)
     mean_variance = zero_sum and bool(
-        np.all(np.abs(variances - 1.0 / n) <= 1e-10 + atol / n)
+        np.all(np.abs(variances - 1.0 / n) <= 1e-10 + PROPERTY_ATOL / n)
     )
     return SpectralReport(
         zero_sum=zero_sum,
         entry_bounds=bool(np.all(np.abs(U) < 1.0)),
         mean_variance=mean_variance,
         eigenvalue_bound=bool(
-            np.all(spectrum.eigenvalues <= 2.0 * graph.degrees.max() + atol)
+            np.all(spectrum.eigenvalues <= 2.0 * graph.degrees.max() + PROPERTY_ATOL)
         ),
     )
 

@@ -106,6 +106,10 @@ def test_embed_writes_embedding(tmp_path, torus_off, capsys):
 @pytest.mark.parametrize("argv", [
     ["embed", "{mesh}", "--em-tol", "1e-3"],   # EM flags belong to match only
     ["match", "{mesh}", "{mesh}", "--seed", "1"],   # only synth takes a seed
+    # the graph weights and the EM options are fixed
+    ["match", "{mesh}", "{mesh}", "--weighting", "uniform"],
+    ["match", "{mesh}", "{mesh}", "--em-max-iter", "5"],
+    ["embed", "{mesh}", "--sigma", "1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(torus_off, argv):
     with pytest.raises(SystemExit) as exc:
@@ -276,6 +280,41 @@ def test_out_of_range_synth_parameter_is_an_input_failure(tmp_path, torus_off, c
                  "--out-mesh", str(tmp_path / "out.off"),
                  "--out-gt", str(tmp_path / "gt.tsv")], EXIT_INPUT)
     assert message in err
+
+
+def test_synth_param_and_level_together_are_a_usage_error(tmp_path, torus_off, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", torus_off, "--kind", "noise", "--param", "0.3", "--level", "1",
+              "--out-mesh", str(tmp_path / "out.off"), "--out-gt", str(tmp_path / "gt.tsv")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out.off").exists()
+
+
+@pytest.mark.parametrize("corr_text, gt_text, bad, message", [
+    ("0\t0\t1.0\n0\t5\t1.0\n", "0\t0\n", "corr", "repeated source vertex 0"),
+    ("0\t0\t1.0\n", "0\t0\n0\t1\n", "gt", "repeated source vertex 0"),
+    ("0\t0\t1.0\n-1\t1\t1.0\n", "0\t0\n", "corr", "negative source vertex -1"),
+], ids=["repeated-corr", "repeated-gt", "negative-corr"])
+def test_bad_source_vertex_is_an_input_failure(tmp_path, torus_off, capsys, corr_text,
+                                               gt_text, bad, message):
+    paths = {"corr": tmp_path / "corr.tsv", "gt": tmp_path / "gt.tsv"}
+    paths["corr"].write_text(corr_text)
+    paths["gt"].write_text(gt_text)
+    err = _assert_one_line_failure(
+        capsys, ["eval", torus_off, str(paths["corr"]), str(paths["gt"])], EXIT_INPUT)
+    assert f"{paths[bad]}:2: {message}" in err
+
+
+def test_unmatched_target_is_legal(tmp_path, torus_off):
+    corr = tmp_path / "corr.tsv"
+    corr.write_text("0\t0\t1.0\n1\t-1\t0.9\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("0\t0\n1\t1\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", torus_off, str(corr), str(gt), "--out", str(out)]) == 0
+    scores = json.loads(out.read_text())
+    assert (scores["n_matched"], scores["n_unmatched"]) == (1, 1)
 
 
 @pytest.mark.parametrize("text_a, text_b, method, message", [

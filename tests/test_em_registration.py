@@ -345,6 +345,11 @@ def test_em_reports_convergence():
         assert corr.log_likelihood == corr.log_likelihood_trace[-1]
 
 
+def test_em_options_reject_a_zero_iteration_cap():
+    with pytest.raises(ValueError, match="max_iter"):
+        EmOptions(max_iter=0)
+
+
 def test_em_final_likelihood_is_checked(monkeypatch):
     # the last e-step's likelihood is the result, so it is held to the
     # same finiteness check as the others

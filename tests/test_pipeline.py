@@ -9,15 +9,9 @@ from specmatch.shapes import bent_cylinder
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PipelineConfig(weighting="cubic")
-    with pytest.raises(ValueError):
         PipelineConfig(theta=1.5)
     with pytest.raises(ValueError):
         PipelineConfig(embedding="sm3")
-    with pytest.raises(ValueError):
-        PipelineConfig(pi_out=1.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(sigma=float("nan"))
     PipelineConfig()  # defaults are valid
 
 

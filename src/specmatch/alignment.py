@@ -35,20 +35,6 @@ class EigenSignature:
     mass: np.ndarray          # B frequencies summing to 1
 
 
-def scott_bin_width(n: int) -> float:
-    """Histogram bin width for an eigenvector of a connected graph.
-
-    Follows from plugging the fixed per-eigenvector spread 1/n into the
-    classic bin-width rule: 3.5 / n^{4/3}.
-    """
-    return 3.5 / n ** (4.0 / 3.0)
-
-
-def scott_bin_count(n: int) -> float:
-    """Approximate bin count the width rule implies over the (-1, 1) range."""
-    return n ** (4.0 / 3.0) / 2.0
-
-
 def eigensignature(u, B: int = DEFAULT_BINS, limit: float | None = None) -> EigenSignature:
     """Histogram of the components of ``u`` over a symmetric range.
 
@@ -105,13 +91,6 @@ class EigenAlignment:
     @property
     def K(self) -> int:
         return self.permutation.size
-
-    def rotation(self) -> np.ndarray:
-        """The K x K signed permutation mapping first-shape coordinates
-        onto second-shape coordinates (orthogonal by construction)."""
-        R = np.zeros((self.K, self.K))
-        R[self.permutation, np.arange(self.K)] = self.signs
-        return R
 
 
 def align_embeddings(
@@ -222,15 +201,3 @@ def _pearson(dot: np.ndarray, norm1: np.ndarray, norm2: np.ndarray) -> np.ndarra
     r = np.divide(dot, denom, out=np.zeros(dot.shape), where=denom > 0)
     r[(norm1 == 0) & (norm2 == 0)] = 1.0
     return np.clip(r, -1.0, 1.0)
-
-
-def alignment_report(alignment: EigenAlignment) -> str:
-    """Human-readable listing of matched pairs, signs, and dropped indices."""
-    lines = ["idx\tmatch\tsign\tscore\tkept"]
-    kept = set(alignment.kept.tolist())
-    for k in range(alignment.K):
-        lines.append(
-            f"{k}\t{alignment.permutation[k]}\t{int(alignment.signs[k]):+d}"
-            f"\t{alignment.scores[k]:.6f}\t{'yes' if k in kept else 'no'}"
-        )
-    return "\n".join(lines) + "\n"

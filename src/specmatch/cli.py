@@ -1,4 +1,4 @@
-"""Command-line entry point: match, embed, eval, synth, isolab, selftest.
+"""Command-line entry point: match, embed, eval, synth, isolab.
 
 A command that fails writes one line, ``specmatch <command>: <message>``,
 to stderr and exits with the status of its kind of failure: ``EXIT_INPUT``,
@@ -13,17 +13,12 @@ import json
 import sys
 import types
 
-import numpy as np
-
-from . import alignment as _alignment
 from . import embedding as _embedding
 from . import em_registration as _em
 from . import evaluation as _evaluation
 from . import isomorphism as _isomorphism
 from . import laplacian as _laplacian
-from . import matutil as _matutil
 from . import mesh_graph as _mesh_graph
-from . import spectral as _spectral
 from .errors import InputError, NumericalError, PipelineError, SpecmatchError
 from .pipeline import PipelineConfig, mesh_spectra, run_match, spectral_embedding
 
@@ -92,8 +87,8 @@ def cmd_embed(args) -> int:
 
 def _read_pairs_tsv(path) -> dict:
     """{j: i} from the integer pair that opens each non-blank line of a TSV.
-    Each source vertex j is non-negative and given once; a target i of -1
-    means unmatched."""
+    Each source vertex j is non-negative and given once; a target i is a
+    vertex or -1, which means unmatched."""
     pairs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -107,6 +102,8 @@ def _read_pairs_tsv(path) -> dict:
             if j < 0 or j in pairs:
                 what = "negative" if j < 0 else "repeated"
                 raise InputError(f"{path}:{lineno}: {what} source vertex {j}")
+            if i < -1:
+                raise InputError(f"{path}:{lineno}: target {i} is below -1")
             pairs[j] = i
     return pairs
 
@@ -166,70 +163,6 @@ def cmd_isolab(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    failures = []
-
-    def check(name, ok):
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
-        if not ok:
-            failures.append(name)
-
-    # path-graph Laplacian entries
-    adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    graph = _mesh_graph.Graph.from_adjacency(adj)
-    lap = _laplacian.assemble(graph)
-    check(
-        "laplacian_path3",
-        np.allclose(lap.toarray(), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]),
-    )
-
-    # path-graph spectrum and commute-time anchors
-    spectrum = _spectral.dense_eig(lap)
-    check("spectrum_path3", np.allclose(spectrum.eigenvalues, [0, 1, 3], atol=1e-12))
-    d12 = _embedding.commute_time_distance(spectrum, 0, 1, graph.volume)
-    d13 = _embedding.commute_time_distance(spectrum, 0, 2, graph.volume)
-    check("ctd_path3", abs(d12 ** 2 - 4) < 1e-9 and abs(d13 ** 2 - 8) < 1e-9)
-
-    # assignment vs brute force on a fixed 4x4 cost
-    rng = np.random.default_rng(7)
-    cost = rng.random((4, 4))
-    import itertools
-
-    best = min(
-        itertools.permutations(range(4)),
-        key=lambda p: sum(cost[i, p[i]] for i in range(4)),
-    )
-    perm = _matutil.hungarian(cost, "min")
-    check(
-        "hungarian_bruteforce",
-        abs(sum(cost[i, perm.mapping[i]] for i in range(4))
-            - sum(cost[i, best[i]] for i in range(4))) < 1e-12,
-    )
-
-    # EM on identical point sets finds the identity
-    pts = rng.standard_normal((3, 40))
-    pts /= np.linalg.norm(pts, axis=0)
-    corr = _em.em_register(pts, pts, np.eye(3))
-    check(
-        "em_identity",
-        corr.map_matches == [(j, j) for j in range(40)],
-    )
-
-    # histogram signatures recover a known sign flip
-    u = rng.standard_normal(200)
-    u[u > 0] *= 2.0
-    sig = _alignment.eigensignature(u, B=20)
-    flip = _alignment.eigensignature(-u, B=20, limit=float(np.abs(u).max()))
-    same = _alignment.eigensignature(u, B=20, limit=float(np.abs(u).max()))
-    check(
-        "signature_sign_sensitivity",
-        _alignment.histogram_similarity(sig, same)
-        > _alignment.histogram_similarity(sig, flip),
-    )
-
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specmatch",
@@ -281,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "umeyama"], default="umeyama")
     p.set_defaults(fn=cmd_isolab)
 
-    p = sub.add_parser("selftest", help="run built-in fixture checks")
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 

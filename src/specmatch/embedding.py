@@ -28,7 +28,6 @@ class Embedding:
     """K x n coordinates of the graph vertices in spectral space."""
 
     coords: np.ndarray            # K x n, columns are vertices
-    eigenvalues: np.ndarray       # the K source non-null eigenvalues
 
     @property
     def K(self) -> int:
@@ -56,7 +55,7 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
     lam = spectrum.eigenvalues[1:K + 1]
     U = spectrum.eigenvectors[:, 1:K + 1]
     coords = (U / np.sqrt(lam)).T
-    return Embedding(coords=coords, eigenvalues=lam.copy())
+    return Embedding(coords=coords)
 
 
 def commute_time_distance(spectrum: Spectrum, i: int, j: int, volume: float) -> float:
@@ -125,7 +124,7 @@ def normalize_hypersphere(emb: Embedding) -> Embedding:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroNormColumnError(int(zero[0]))
-    return Embedding(coords=emb.coords / norms, eigenvalues=emb.eigenvalues.copy())
+    return Embedding(coords=emb.coords / norms)
 
 
 def embedding_stats(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:

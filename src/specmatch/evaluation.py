@@ -63,6 +63,8 @@ def _geodesic_graph(mesh: Mesh):
 
 def _sweep_sources(n: int, sweeps: int = 20) -> np.ndarray:
     """The random sources of a diameter estimate, the same for every call."""
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
     return np.random.default_rng(0).choice(n, size=min(sweeps, n), replace=False)
 
 

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import SpecmatchError
 
-# tolerance of the permutation and doubly-stochastic tests and of Birkhoff peeling
+# tolerance of the doubly-stochastic test and of Birkhoff peeling
 TOL = 1e-9
 
 
@@ -39,27 +39,9 @@ class PermutationMatrix:
         mat[np.arange(self.n), self.mapping] = 1.0
         return mat
 
-    def inverse(self) -> "PermutationMatrix":
-        inv = np.empty(self.n, dtype=int)
-        inv[self.mapping] = np.arange(self.n)
-        return PermutationMatrix(inv)
-
     def apply_to_rows(self, A: np.ndarray) -> np.ndarray:
         """Return P @ A, i.e. row i of the result is row mapping[i] of A."""
         return np.asarray(A)[self.mapping]
-
-
-@dataclass(frozen=True)
-class DoublyStochasticMatrix:
-    """Non-negative square matrix whose row and column sums are all 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", A)
-        if not is_doubly_stochastic(A):
-            raise ValueError("matrix is not doubly stochastic within tolerance")
 
 
 def frobenius_norm(A) -> float:
@@ -83,20 +65,6 @@ def hungarian(cost, sense: str = "min") -> PermutationMatrix:
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     _, cols = linear_sum_assignment(cost, maximize=(sense == "max"))
     return PermutationMatrix(cols)
-
-
-def is_permutation(A) -> bool:
-    """True iff A is (within TOL) a 0/1 matrix with one 1 per row and column."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return False
-    near_one = np.abs(A - 1.0) <= TOL
-    near_zero = np.abs(A) <= TOL
-    if not np.all(near_one | near_zero):
-        return False
-    return bool(
-        np.all(near_one.sum(axis=0) == 1) and np.all(near_one.sum(axis=1) == 1)
-    )
 
 
 def is_doubly_stochastic(A) -> bool:
@@ -134,12 +102,9 @@ def birkhoff_decompose(X) -> list[tuple[float, PermutationMatrix]]:
     by ``TOL`` plus the input's own row-sum error. Stopping once no single
     entry exceeds ``TOL`` can leave row sums of several times ``TOL``.
     """
-    if isinstance(X, DoublyStochasticMatrix):
-        R = X.entries.copy()
-    else:
-        R = np.asarray(X, dtype=float).copy()
-        if not is_doubly_stochastic(R):
-            raise ValueError("input is not doubly stochastic within tolerance")
+    R = np.asarray(X, dtype=float).copy()
+    if not is_doubly_stochastic(R):
+        raise ValueError("input is not doubly stochastic within tolerance")
     n = R.shape[0]
     rows = np.arange(n)
     terms: list[tuple[float, PermutationMatrix]] = []

@@ -305,9 +305,3 @@ def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = No
     if graph.n_components != 1:
         raise DisconnectedGraphError(graph.n_components)
     return graph
-
-
-def connected_components(graph: Graph) -> list[set[int]]:
-    """Partition of the vertex set into connected components."""
-    n_comp, labels = _csgraph_components(graph.adjacency, directed=False)
-    return [set(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]

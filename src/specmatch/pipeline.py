@@ -92,7 +92,7 @@ def spectral_embedding(spectrum: _spectral.Spectrum, K: int, kind: str,
     """The ``rows`` of the spectrum's K-dimensional commute-time embedding,
     projected onto the sphere of the reduced space for ``kind`` sm2."""
     emb = _stage("embedding", _embedding.commute_time_embedding, spectrum, K)
-    emb = _embedding.Embedding(coords=emb.coords[rows], eigenvalues=emb.eigenvalues[rows])
+    emb = _embedding.Embedding(coords=emb.coords[rows])
     if kind == "sm2":
         emb = _stage("embedding", _embedding.normalize_hypersphere, emb)
     return emb

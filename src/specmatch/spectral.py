@@ -159,14 +159,3 @@ def check_spectral_properties(spectrum: Spectrum, graph: Graph) -> SpectralRepor
             np.all(spectrum.eigenvalues <= 2.0 * graph.degrees.max() + PROPERTY_ATOL)
         ),
     )
-
-
-def dump_spectrum(spectrum: Spectrum, path) -> None:
-    """Text dump: one `lambda residual` line per pair, then the eigenvector
-    block in column-major order, 17 significant digits."""
-    with open(path, "w") as fh:
-        for lam, res in zip(spectrum.eigenvalues, spectrum.residuals):
-            fh.write(f"{lam:.17g} {res:.17g}\n")
-        for col in range(spectrum.eigenvectors.shape[1]):
-            for x in spectrum.eigenvectors[:, col]:
-                fh.write(f"{x:.17g}\n")

@@ -16,14 +16,6 @@ def torus_off(tmp_path_factory):
     return str(path)
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("PASS") for line in lines)
-
-
 def test_synth_match_eval_round_trip(tmp_path, torus_off, capsys):
     # the same torus as OFF and as PLY, so the CLI reads and writes both
     torus_ply = str(tmp_path / "torus.ply")
@@ -304,6 +296,17 @@ def test_bad_source_vertex_is_an_input_failure(tmp_path, torus_off, capsys, corr
     err = _assert_one_line_failure(
         capsys, ["eval", torus_off, str(paths["corr"]), str(paths["gt"])], EXIT_INPUT)
     assert f"{paths[bad]}:2: {message}" in err
+
+
+def test_target_below_minus_one_is_an_input_failure(tmp_path, torus_off, capsys):
+    # -1 is the only negative target that means unmatched
+    corr = tmp_path / "corr.tsv"
+    corr.write_text("0\t-5\t1.0\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("0\t0\n1\t1\n")
+    err = _assert_one_line_failure(capsys, ["eval", torus_off, str(corr), str(gt)],
+                                   EXIT_INPUT)
+    assert f"{corr}:1: target -5 is below -1" in err
 
 
 def test_unmatched_target_is_legal(tmp_path, torus_off):

@@ -60,7 +60,7 @@ def test_coordinate_bounds():
     graph = random_connected_graph(rng, 40)
     spectrum = dense_eig(assemble(graph))
     emb = commute_time_embedding(spectrum, 5)
-    bounds = 1.0 / np.sqrt(emb.eigenvalues)
+    bounds = 1.0 / np.sqrt(spectrum.eigenvalues[1:emb.K + 1])
     assert np.all(np.abs(emb.coords) < bounds[:, None])
 
 
@@ -158,8 +158,7 @@ def test_select_dimension_unreachable():
 
 
 def test_normalize_column():
-    emb = Embedding(coords=np.array([[3.0], [4.0]]),
-                    eigenvalues=np.array([1.0, 2.0]))
+    emb = Embedding(coords=np.array([[3.0], [4.0]]))
     out = normalize_hypersphere(emb)
     np.testing.assert_allclose(out.coords[:, 0], [0.6, 0.8])
 
@@ -167,7 +166,7 @@ def test_normalize_column():
 def test_normalize_idempotent():
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((3, 10))
-    emb = Embedding(coords=coords, eigenvalues=np.ones(3))
+    emb = Embedding(coords=coords)
     once = normalize_hypersphere(emb)
     twice = normalize_hypersphere(once)
     np.testing.assert_allclose(once.coords, twice.coords, atol=1e-15)
@@ -181,7 +180,7 @@ def test_normalize_p3():
 
 
 def test_normalize_zero_column_rejected():
-    emb = Embedding(coords=np.array([[1.0, 0.0], [0.0, 0.0]]), eigenvalues=np.ones(2))
+    emb = Embedding(coords=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ZeroNormColumnError) as exc:
         normalize_hypersphere(emb)
     assert exc.value.vertex == 1

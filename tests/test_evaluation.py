@@ -92,6 +92,12 @@ def test_geodesic_diameter_strip():
     assert diam == pytest.approx(float(full.max()))
 
 
+@pytest.mark.parametrize("sweeps", [0, -3])
+def test_geodesic_diameter_rejects_too_few_sweeps(sweeps):
+    with pytest.raises(ValueError, match="sweeps"):
+        geodesic_diameter(path3_mesh(), sweeps=sweeps)
+
+
 def test_registration_error_perfect():
     mesh = tetrahedron_mesh()
     gt = GroundTruth({i: i for i in range(4)})

@@ -6,7 +6,6 @@ from specmatch.mesh_graph import (
     Graph,
     Mesh,
     build_graph,
-    connected_components,
     load_mesh,
     save_mesh,
 )
@@ -249,8 +248,6 @@ def test_faceless_mesh_rejected(weighting):
 
 def test_connected_components_k4(tetra):
     graph = build_graph(tetra, "uniform")
-    comps = connected_components(graph)
-    assert comps == [{0, 1, 2, 3}]
     assert graph.n_components == 1
 
 
@@ -259,15 +256,11 @@ def test_connected_components_two_edges():
     adj[0, 1] = adj[1, 0] = 1.0
     adj[2, 3] = adj[3, 2] = 1.0
     graph = Graph.from_adjacency(adj)
-    comps = connected_components(graph)
-    assert sorted(map(sorted, comps)) == [[0, 1], [2, 3]]
     assert graph.n_components == 2
 
 
 def test_connected_components_empty_adjacency():
     graph = Graph.from_adjacency(np.zeros((3, 3)))
-    comps = connected_components(graph)
-    assert comps == [{0}, {1}, {2}]
     assert graph.n_components == 3
 
 

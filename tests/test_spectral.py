@@ -11,7 +11,6 @@ from specmatch.shapes import bent_cylinder
 from specmatch.spectral import (
     check_spectral_properties,
     dense_eig,
-    dump_spectrum,
     eigs_smallest,
 )
 
@@ -219,12 +218,3 @@ def test_eigenvector_statistics():
     n = graph.n
     assert np.abs(U.sum(axis=0)).max() <= 1e-8
     assert np.abs(np.mean(U * U, axis=0) - 1.0 / n).max() <= 1e-10
-
-
-def test_dump_spectrum(tmp_path, p3):
-    spectrum = dense_eig(assemble(p3))
-    path = tmp_path / "spec.txt"
-    dump_spectrum(spectrum, str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3 + 9
-    assert float(lines[0].split()[0]) == pytest.approx(0.0, abs=1e-12)

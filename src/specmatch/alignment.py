@@ -12,19 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecmatchError
+from .errors import InputError
 from .matutil import hungarian
 
 DEFAULT_BINS = 100
 DEFAULT_THRESHOLD = 0.7
-
-
-class BinMismatchError(SpecmatchError):
-    """Two signatures were built over different bins and cannot be compared."""
-
-
-class EmptyAlignmentError(SpecmatchError):
-    """No eigenvector pair survived the similarity threshold."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,7 @@ def histogram_similarity(H1: EigenSignature, H2: EigenSignature) -> float:
     if H1.bin_edges.shape != H2.bin_edges.shape or not np.allclose(
         H1.bin_edges, H2.bin_edges, rtol=0.0, atol=1e-12
     ):
-        raise BinMismatchError("signatures use different bins")
+        raise InputError("signatures use different bins")
     a = H1.mass - H1.mass.mean()
     b = H2.mass - H2.mass.mean()
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -121,7 +113,7 @@ def align_embeddings(
     signs = sign_table[np.arange(K), perm.mapping]
     kept = np.flatnonzero(matched_scores >= threshold)
     if kept.size == 0:
-        raise EmptyAlignmentError(
+        raise InputError(
             "no eigenvector pair reached the similarity threshold "
             f"{threshold}; shapes may be too dissimilar or K too large"
         )

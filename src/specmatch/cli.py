@@ -73,14 +73,14 @@ def cmd_embed(args) -> int:
     config = _config_from(args)
     mesh = _mesh_graph.load_mesh(args.mesh)
     # the theta table below has a row for each of the k_cap non-null pairs
-    (graph,), (spectrum,), selection = mesh_spectra((mesh,), config, all_pairs=True)
+    (spectrum,), selection = mesh_spectra((mesh,), config, all_pairs=True)
     emb = spectral_embedding(spectrum, selection["K"], config.embedding)
     _embedding.dump_embedding(emb, args.out)
     nonnull = spectrum.eigenvalues[1:]
     sys.stdout.write("K\ttheta_min\n")
     for k in range(1, nonnull.size + 1):
         sys.stdout.write(
-            f"{k}\t{_embedding.theta_min(nonnull, k, graph.n):.12f}\n"
+            f"{k}\t{_embedding.theta_min(nonnull, k, spectrum.n):.12f}\n"
         )
     return 0
 

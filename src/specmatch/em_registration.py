@@ -29,10 +29,6 @@ MAP_THRESHOLD = 0.5
 TOL = 1e-6
 
 
-class LikelihoodError(NumericalError):
-    """The likelihood became non-finite (variance underflow)."""
-
-
 def unit_ball_volume(K: int) -> float:
     return float(np.exp((K / 2.0) * np.log(np.pi) - gammaln(K / 2.0 + 1.0)))
 
@@ -253,7 +249,7 @@ def em_register(
         posterior, ll = e_step(D2, params)
         del D2   # the next matrix is built only after this one is dropped
         if not np.isfinite(ll):
-            raise LikelihoodError(f"non-finite log-likelihood at e-step {iterations + 1}")
+            raise NumericalError(f"non-finite log-likelihood at e-step {iterations + 1}")
         trace.append(ll)
         if converged or iterations == opts.max_iter:
             break

@@ -7,12 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SpecmatchError
+from .errors import InputError, SpecmatchError
 from .spectral import Spectrum
-
-
-class InsufficientSpectrumError(SpecmatchError):
-    """The spectrum holds fewer non-null pairs than the requested dimension."""
 
 
 class ZeroNormColumnError(SpecmatchError):
@@ -49,7 +45,7 @@ def commute_time_embedding(spectrum: Spectrum, K: int) -> Embedding:
         raise ValueError(f"K must be at least 1, got {K}")
     avail = spectrum.n_pairs - 1
     if K > avail:
-        raise InsufficientSpectrumError(
+        raise InputError(
             f"requested K={K} but spectrum has {avail} non-null pairs"
         )
     lam = spectrum.eigenvalues[1:K + 1]

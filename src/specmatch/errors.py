@@ -61,10 +61,6 @@ class NonConvergenceError(NumericalError):
         )
 
 
-class DegenerateSpectrumError(NumericalError):
-    """Adjacent eigenvalues are too close for a method that needs distinct ones."""
-
-
 class PipelineError(SpecmatchError):
     """Wraps a module error with the pipeline stage at which it occurred."""
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import DisconnectedGraphError, InputError, SpecmatchError
+from .errors import DisconnectedGraphError, InputError
 from .mesh_graph import Graph, Mesh, _edge_matrix
 
 # the transform kinds, each with its parameter ramp for the five strength levels
@@ -18,14 +18,6 @@ STRENGTH_RAMPS = {
     "sampling": [0.9, 0.8, 0.7, 0.6, 0.5],
     "local_scale": [1.2, 1.5, 2.0, 2.5, 3.0],
 }
-
-
-class TransformError(SpecmatchError):
-    """The requested synthetic transform could not keep the mesh connected."""
-
-
-class ScoringError(InputError):
-    """The matches and the ground truth cannot be scored on the reference mesh."""
 
 
 @dataclass(frozen=True)
@@ -78,38 +70,32 @@ def geodesic_diameter(mesh: Mesh, sweeps: int = 20) -> float:
     return float(geodesic_distances(mesh, _sweep_sources(mesh.n_vertices, sweeps)).max())
 
 
-def registration_error(
-    corr, gt: GroundTruth, mesh_a: Mesh, diameter: float | None = None
-) -> ErrorReport:
+def registration_error(corr, gt: GroundTruth, mesh_a: Mesh) -> ErrorReport:
     """Score matched vertices by geodesic distance to their true targets.
 
     Errors are measured on the first (reference) mesh and reported as
-    percent of its geodesic diameter (by default ``geodesic_diameter``'s
-    estimate). Unmatched vertices are excluded from the statistics but
-    counted.
+    percent of its geodesic diameter, ``geodesic_diameter``'s estimate.
+    Unmatched vertices are excluded from the statistics but counted.
     """
     matches = corr.map_matches if hasattr(corr, "map_matches") else list(corr)
     if not matches:
-        raise ScoringError("empty match set")
+        raise InputError("empty match set")
 
     scored = [(j, i, gt.pairs[j]) for j, i in matches if j in gt.pairs]
     if not scored:
-        raise ScoringError("no matched vertex has a ground-truth target")
+        raise InputError("no matched vertex has a ground-truth target")
     n = mesh_a.n_vertices
     for j, i, true_i in scored:
         if not (0 <= i < n and 0 <= true_i < n):
-            raise ScoringError(f"vertex {j}: target {i} (ground truth {true_i}) is not "
-                               f"a vertex of the {n}-vertex reference mesh")
+            raise InputError(f"vertex {j}: target {i} (ground truth {true_i}) is not "
+                             f"a vertex of the {n}-vertex reference mesh")
     wrong_sources = [true_i for _, i, true_i in scored if i != true_i]
     # one Dijkstra run serves the diameter sweep and the wrong matches
-    sweep = _sweep_sources(n) if diameter is None else np.empty(0, int)
+    sweep = _sweep_sources(n)
     sources = np.union1d(sweep, wrong_sources).astype(int)
-    dist_rows = {}
-    if sources.size:
-        dist = dijkstra(_geodesic_graph(mesh_a), directed=False, indices=sources)
-        dist_rows = dict(zip(sources.tolist(), dist))
-    if diameter is None:
-        diameter = float(dist[np.searchsorted(sources, sweep)].max())
+    dist = dijkstra(_geodesic_graph(mesh_a), directed=False, indices=sources)
+    dist_rows = dict(zip(sources.tolist(), dist))
+    diameter = float(dist[np.searchsorted(sources, sweep)].max())
 
     per_vertex = {}
     for j, i, true_i in scored:
@@ -152,6 +138,8 @@ def synth_transform(
     (scaling of a geodesic region). The ground truth is the identity on
     surviving vertices (composed with the relabeling where applicable).
     """
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == "isometry_relabel":
         if param is not None:
@@ -215,7 +203,7 @@ def _holes(mesh: Mesh, fraction: float, rng, attempts: int = 25):
             continue
         gt = {int(remap[v]): int(v) for v in used}
         return out, GroundTruth(gt)
-    raise TransformError(
+    raise InputError(
         f"could not remove {n_remove} faces without disconnecting the mesh"
     )
 
@@ -300,7 +288,7 @@ def _sampling(mesh: Mesh, ratio: float, rng):
     new_faces = remap[np.array(sorted(faces), dtype=int)]
     out = Mesh(vertices=mesh.vertices[kept], faces=new_faces)
     if not _connected(out):
-        raise TransformError("decimation disconnected the mesh")
+        raise InputError("decimation disconnected the mesh")
     gt = {int(remap[v]): int(v) for v in kept}
     return out, GroundTruth(gt)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InputError
+from .errors import InputError, NumericalError
 from .matutil import PermutationMatrix, frobenius_norm, hungarian
 
 EXACT_SIZE_LIMIT = 12
@@ -51,7 +51,7 @@ def _checked_eigh(A, strict: bool):
     gaps = np.diff(vals)
     degenerate = bool(gaps.size and gaps.min() <= GAP_TOL)
     if degenerate and strict:
-        raise DegenerateSpectrumError(
+        raise NumericalError(
             f"adjacent eigenvalue gap {gaps.min():.3e} below {GAP_TOL:.3e}"
         )
     return vals, vecs, degenerate

@@ -40,6 +40,8 @@ def load_triplets(path) -> sparse.csr_matrix:
                 raise InputError(f"{path}:{lineno}: expected 'row col value', got {line.strip()!r}")
             if row < 0 or col < 0:
                 raise InputError(f"{path}:{lineno}: negative index in {line.strip()!r}")
+            if not np.isfinite(val):
+                raise InputError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
             rows.append(row)
             cols.append(col)
             vals.append(val)

@@ -7,14 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SpecmatchError
+from .errors import InputError
 
 # tolerance of the doubly-stochastic test and of Birkhoff peeling
 TOL = 1e-9
-
-
-class BirkhoffError(SpecmatchError):
-    """No permutation fits inside the positive support: input is not doubly stochastic."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def birkhoff_decompose(X) -> list[tuple[float, PermutationMatrix]]:
     residual R itself, with every entry outside the positive support
     ``R > 0`` priced at -n. A permutation inside the support scores > 0 and
     any other scores < 0, so the pick leaves the support only when the
-    support holds no perfect matching, which ``BirkhoffError`` reports.
+    support holds no perfect matching, which raises ``InputError``.
     Taking the heaviest permutation of the support, rather than any one of
     them, sets the term count (Dufosse & Ucar, LAA 2016): a mix of 30
     permutations of size 100 comes apart in about 360 terms, not 2,400.
@@ -112,7 +108,7 @@ def birkhoff_decompose(X) -> list[tuple[float, PermutationMatrix]]:
         perm = hungarian(np.where(R > 0, R, -float(n)), sense="max")
         matched = R[rows, perm.mapping]
         if (matched <= 0).any():
-            raise BirkhoffError(
+            raise InputError(
                 "no permutation inside the positive support; "
                 "input is not doubly stochastic"
             )

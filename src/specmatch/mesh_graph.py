@@ -272,27 +272,19 @@ def _edge_matrix(mesh: Mesh, weight=None) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
 
 
-def build_graph(mesh: Mesh, weighting: str = "uniform", sigma: float | None = None) -> Graph:
-    """Build the weighted graph of a mesh's 1-skeleton.
+def build_graph(mesh: Mesh) -> Graph:
+    """Build the Gaussian-weighted graph of a mesh's 1-skeleton.
 
-    Edges are the deduplicated union of face edges. ``uniform`` assigns
-    weight 1 to every edge; ``gaussian`` assigns exp(-len^2 / sigma^2)
-    with the Euclidean edge length. When ``sigma`` is omitted the mean
-    edge length is used, which keeps the weights scale-equivariant.
+    Edges are the deduplicated union of face edges, each weighted
+    exp(-len^2 / sigma^2) with its Euclidean length. sigma is the mean
+    edge length, which keeps the weights scale-equivariant.
     """
-    if weighting == "uniform":
-        weight = np.ones_like
-    elif weighting == "gaussian":
-        if sigma is not None and not 0 < sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    def weight(lengths):
+        s = float(lengths.mean())
+        if s <= 0:
+            raise ValueError(f"sigma must be positive, got {s}")
+        return np.exp(-(lengths ** 2) / s ** 2)
 
-        def weight(lengths):
-            s = float(lengths.mean()) if sigma is None else sigma
-            if s <= 0:
-                raise ValueError(f"sigma must be positive, got {s}")
-            return np.exp(-(lengths ** 2) / s ** 2)
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
     if mesh.n_faces == 0:
         # no edges: every vertex is its own component (and there is no
         # edge length to take a mean of)

@@ -65,11 +65,10 @@ def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
     theta-selected K of the meshes. A fixed K solves only the K+1 pairs the
     embedding reads; theta selection reads all k_cap+1, and so does a caller
     that passes ``all_pairs``. Every spectrum holds the same number of
-    pairs. Returns (graphs, spectra, selection), the last being the report
-    block that holds K.
+    pairs. Returns (spectra, selection), the last being the report block
+    that holds K.
     """
-    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh, "gaussian")
-              for mesh in meshes]
+    graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh) for mesh in meshes]
     laps = [_stage("laplacian", _laplacian.assemble, graph) for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
     fixed_k = None if config.k is None else min(config.k, k_cap)
@@ -77,14 +76,14 @@ def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
     spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_solve)
                for lap in laps]
     if fixed_k is not None:
-        return graphs, spectra, {"mode": "fixed", "K": fixed_k}
+        return spectra, {"mode": "fixed", "K": fixed_k}
     # each spectrum's k_cap non-null pairs bound its selected K by k_cap
-    sels = [_embedding.select_dimension(spec.eigenvalues[1:], graph.n, config.theta)
-            for graph, spec in zip(graphs, spectra)]
+    sels = [_embedding.select_dimension(spec.eigenvalues[1:], spec.n, config.theta)
+            for spec in spectra]
     selection = {"mode": "theta", "K": max(sel.K for sel in sels)}
     selection.update((f"theta_min_{tag}", sel.theta_min) for tag, sel in zip("ab", sels))
     selection.update((f"reached_{tag}", sel.reached) for tag, sel in zip("ab", sels))
-    return graphs, spectra, selection
+    return spectra, selection
 
 
 def spectral_embedding(spectrum: _spectral.Spectrum, K: int, kind: str,
@@ -103,9 +102,8 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     per-stage report."""
     report: dict = {"config": asdict(config)}
 
-    (graph_a, graph_b), (spec_a, spec_b), selection = mesh_spectra(
-        (mesh_a, mesh_b), config)
-    report["n_a"], report["n_b"] = graph_a.n, graph_b.n
+    (spec_a, spec_b), selection = mesh_spectra((mesh_a, mesh_b), config)
+    report["n_a"], report["n_b"] = spec_a.n, spec_b.n
     report["spectral"] = {
         "method_a": spec_a.method, "method_b": spec_b.method,
         "pairs_computed": spec_a.n_pairs,  # both spectra hold as many

@@ -80,6 +80,6 @@ def sphere_small():
 @pytest.fixture(scope="session")
 def torus_spectrum(torus):
     """K=12 leading eigenpairs of the 1536-vertex torus (shared oracle)."""
-    graph = mesh_graph.build_graph(torus, "gaussian")
+    graph = mesh_graph.build_graph(torus)
     lap = laplacian.assemble(graph)
     return spectral.eigs_smallest(lap, 12)

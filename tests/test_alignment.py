@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from specmatch.alignment import (
-    BinMismatchError,
     EigenSignature,
-    EmptyAlignmentError,
     align_embeddings,
     eigensignature,
     histogram_similarity,
     _centred_counts,
 )
+from specmatch.errors import InputError
 from specmatch.matutil import hungarian
 from specmatch.laplacian import assemble
 from specmatch.spectral import dense_eig
@@ -79,7 +78,7 @@ def test_similarity_bounds():
 
 def test_similarity_bin_mismatch():
     u = np.arange(10.0)
-    with pytest.raises(BinMismatchError):
+    with pytest.raises(InputError, match="signatures use different bins"):
         histogram_similarity(eigensignature(u, B=10), eigensignature(u, B=20))
 
 
@@ -146,7 +145,7 @@ def test_align_empty_raises():
     rng = np.random.default_rng(10)
     U = rng.standard_normal((200, 3))
     V = rng.standard_normal((200, 3))
-    with pytest.raises(EmptyAlignmentError):
+    with pytest.raises(InputError, match="no eigenvector pair reached the similarity threshold"):
         align_embeddings(U, V, threshold=1.0 - 1e-12, bins=500)
 
 

@@ -181,6 +181,18 @@ def test_disconnected_mesh_is_an_input_failure(tmp_path, capsys):
     assert "stage 'mesh_graph'" in err and "2 components" in err
 
 
+def test_empty_alignment_is_an_input_failure(tmp_path, torus_off, capsys):
+    # a noisy copy scores below 1 on every eigenvector pair
+    noisy = str(tmp_path / "noisy.off")
+    assert main(["synth", torus_off, "--kind", "noise", "--param", "0.05", "--seed", "1",
+                 "--out-mesh", noisy, "--out-gt", str(tmp_path / "gt.tsv")]) == 0
+    err = _assert_one_line_failure(
+        capsys, ["match", torus_off, noisy, "--k", "8", "--sig-threshold", "1.0",
+                 "--out-corr", str(tmp_path / "corr.tsv")], EXIT_INPUT)
+    assert "stage 'alignment'" in err
+    assert "no eigenvector pair reached the similarity threshold 1.0" in err
+
+
 def test_missing_file_is_an_io_failure(tmp_path, capsys):
     missing = str(tmp_path / "missing.off")
     err = _assert_one_line_failure(
@@ -250,7 +262,7 @@ def test_out_of_range_target_is_an_input_failure(tmp_path, torus_off, capsys,
     assert "vertex 0:" in err and "999" in err
 
 
-@pytest.mark.parametrize("bad_line", ["1 0 x", "-1 0 1.0"])
+@pytest.mark.parametrize("bad_line", ["1 0 x", "-1 0 1.0", "1 0 nan", "1 0 inf"])
 def test_malformed_triplets_are_an_input_failure(tmp_path, capsys, bad_line):
     pa = tmp_path / "a.txt"
     pa.write_text(f"0 1 1.0\n{bad_line}\n")
@@ -272,6 +284,14 @@ def test_out_of_range_synth_parameter_is_an_input_failure(tmp_path, torus_off, c
                  "--out-mesh", str(tmp_path / "out.off"),
                  "--out-gt", str(tmp_path / "gt.tsv")], EXIT_INPUT)
     assert message in err
+
+
+def test_negative_synth_seed_is_an_input_failure(tmp_path, torus_off, capsys):
+    err = _assert_one_line_failure(
+        capsys, ["synth", torus_off, "--kind", "noise", "--param", "0.01", "--seed", "-1",
+                 "--out-mesh", str(tmp_path / "out.off"),
+                 "--out-gt", str(tmp_path / "gt.tsv")], EXIT_INPUT)
+    assert "seed must be non-negative, got -1" in err
 
 
 def test_synth_param_and_level_together_are_a_usage_error(tmp_path, torus_off, capsys):

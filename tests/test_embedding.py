@@ -3,7 +3,6 @@ import pytest
 
 from specmatch.embedding import (
     Embedding,
-    InsufficientSpectrumError,
     ZeroNormColumnError,
     commute_time_distance,
     commute_time_embedding,
@@ -13,6 +12,7 @@ from specmatch.embedding import (
     theta_min,
     theta_scree,
 )
+from specmatch.errors import InputError
 from specmatch.laplacian import assemble
 from specmatch.spectral import dense_eig
 
@@ -65,7 +65,7 @@ def test_coordinate_bounds():
 
 
 def test_insufficient_spectrum():
-    with pytest.raises(InsufficientSpectrumError):
+    with pytest.raises(InputError, match="requested K=3 but spectrum has 2 non-null pairs"):
         commute_time_embedding(p3_spectrum(), 3)
 
 

@@ -4,8 +4,8 @@ import pytest
 from specmatch import evaluation
 from specmatch.errors import DisconnectedGraphError
 from specmatch.evaluation import (
+    ErrorReport,
     GroundTruth,
-    TransformError,
     geodesic_diameter,
     geodesic_distances,
     registration_error,
@@ -114,7 +114,7 @@ def test_registration_error_single_miss():
     gt = GroundTruth({i: i for i in range(5)})
     corr = [(0, 1)] + [(i, i) for i in range(1, 5)]
     diam = geodesic_diameter(mesh)
-    report = registration_error(corr, gt, mesh, diameter=diam)
+    report = registration_error(corr, gt, mesh)
     # vertex 0 matched to 1: one unit hop away on the reference mesh
     assert report.per_vertex[0] == pytest.approx(1.0 / diam * 100.0)
     assert report.median == 0.0
@@ -126,7 +126,14 @@ def test_registration_error_one_edge_matrix(monkeypatch):
     mesh = path3_mesh()
     gt = GroundTruth({i: i for i in range(5)})
     corr = [(0, 1), (2, 3)] + [(i, i) for i in (1, 3, 4)]
-    expected = registration_error(corr, gt, mesh, diameter=geodesic_diameter(mesh))
+    diam = geodesic_diameter(mesh)
+    dist = geodesic_distances(mesh, np.array([0, 2]))
+    per_vertex = {0: float(dist[0, 1]) / diam * 100.0, 2: float(dist[1, 3]) / diam * 100.0,
+                  1: 0.0, 3: 0.0, 4: 0.0}
+    errors = np.array(list(per_vertex.values()))
+    expected = ErrorReport(per_vertex=per_vertex, mean=float(errors.mean()),
+                           median=float(np.median(errors)), max=float(errors.max()),
+                           normalization=diam, n_matched=5, n_unmatched=0)
     calls = {"_edge_matrix": 0, "dijkstra": 0}
     for name in calls:
         def counting(*args, _original=getattr(evaluation, name), _name=name, **kwargs):
@@ -201,7 +208,7 @@ def test_holes_removes_faces_and_stays_connected(torus_small):
     assert out.n_faces == torus_small.n_faces - round(0.05 * torus_small.n_faces)
     from specmatch.mesh_graph import build_graph
 
-    graph = build_graph(out, "uniform")  # raises if disconnected
+    graph = build_graph(out)  # raises if disconnected
     assert graph.n == out.n_vertices
     for j, i in gt.pairs.items():
         np.testing.assert_allclose(out.vertices[j], torus_small.vertices[i])

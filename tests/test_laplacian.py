@@ -64,7 +64,7 @@ def test_zero_degree_rejected():
 
 def test_assemble_reads_the_graph_connectivity(monkeypatch, tetra):
     # the component search runs once, when the graph is built
-    graph = build_graph(tetra, "gaussian")
+    graph = build_graph(tetra)
 
     def no_search(*args, **kwargs):
         raise AssertionError("connected components searched again")

@@ -154,8 +154,6 @@ def test_non_finite_input_rejected(bad):
     v[5, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         Mesh(vertices=v, faces=torus.faces)
-    with pytest.raises(ValueError, match="finite"):
-        build_graph(torus, "gaussian", sigma=bad)
     # checked before symmetry, which a NaN weight would fail
     adj = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
     with pytest.raises(ValueError, match="weights must be finite"):
@@ -177,11 +175,10 @@ def test_p3_degrees_and_volume(p3):
     assert p3.volume == pytest.approx(4.0)
 
 
-def test_tetrahedron_uniform_is_k4(tetra):
-    graph = build_graph(tetra, "uniform")
+def test_tetrahedron_is_k4(tetra):
+    graph = build_graph(tetra)
     assert graph.n == 4
-    np.testing.assert_allclose(graph.degrees, [3, 3, 3, 3])
-    assert graph.volume == pytest.approx(12.0)
+    np.testing.assert_array_equal(np.diff(graph.adjacency.indptr), [3, 3, 3, 3])
 
 
 def test_gaussian_weights_closed_form():
@@ -190,22 +187,23 @@ def test_gaussian_weights_closed_form():
         vertices=np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 2, 0]]),
         faces=np.array([[0, 1, 2]]),
     )
-    graph = build_graph(mesh, "gaussian", sigma=1.0)
+    graph = build_graph(mesh)
+    sigma2 = np.mean([1.0, 2.0, np.sqrt(5.0)]) ** 2   # sigma is the mean edge length
     A = graph.adjacency.toarray()
-    assert A[0, 1] == pytest.approx(np.exp(-1.0))
-    assert A[0, 2] == pytest.approx(np.exp(-4.0))
-    assert A[1, 2] == pytest.approx(np.exp(-5.0))
+    assert A[0, 1] == pytest.approx(np.exp(-1.0 / sigma2))
+    assert A[0, 2] == pytest.approx(np.exp(-4.0 / sigma2))
+    assert A[1, 2] == pytest.approx(np.exp(-5.0 / sigma2))
 
 
 def test_gaussian_weights_in_unit_interval(tetra):
-    graph = build_graph(tetra, "gaussian")
+    graph = build_graph(tetra)
     w = graph.adjacency.data
     assert np.all(w > 0.0)
     assert np.all(w <= 1.0)
 
 
 def test_graph_invariants(tetra):
-    graph = build_graph(tetra, "gaussian")
+    graph = build_graph(tetra)
     A = graph.adjacency
     assert (A != A.T).nnz == 0
     assert not A.diagonal().any()
@@ -216,8 +214,8 @@ def test_graph_invariants(tetra):
 
 
 def test_build_graph_deterministic(tetra):
-    g1 = build_graph(tetra, "gaussian")
-    g2 = build_graph(tetra, "gaussian")
+    g1 = build_graph(tetra)
+    g2 = build_graph(tetra)
     assert np.array_equal(g1.adjacency.toarray(), g2.adjacency.toarray())
 
 
@@ -226,28 +224,33 @@ def test_disconnected_mesh_rejected():
     v = np.vstack([np.eye(3), np.eye(3) + 10.0])
     faces = np.array([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(DisconnectedGraphError) as exc:
-        build_graph(Mesh(vertices=v, faces=faces), "uniform")
+        build_graph(Mesh(vertices=v, faces=faces))
     assert exc.value.n_components == 2
 
 
 def test_underflowed_weights_rejected():
-    # every Gaussian weight underflows to 0, and a zero weight is no edge
+    # a vertex 100 units away joins the cylinder by one face; the weights of
+    # its two edges underflow to 0, and a zero weight is no edge
+    cyl = bent_cylinder(12, 21)
+    a, b = cyl.faces[0, :2]
+    far = cyl.vertices[a] + [100.0, 0.0, 0.0]
+    mesh = Mesh(vertices=np.vstack([cyl.vertices, far]),
+                faces=np.vstack([cyl.faces, [a, b, cyl.n_vertices]]))
     with pytest.raises(DisconnectedGraphError) as exc:
-        build_graph(bent_cylinder(12, 21), "gaussian", sigma=1e-4)
-    assert exc.value.n_components == 254
+        build_graph(mesh)
+    assert exc.value.n_components == 2
 
 
-@pytest.mark.parametrize("weighting", ["uniform", "gaussian"])
-def test_faceless_mesh_rejected(weighting):
+def test_faceless_mesh_rejected():
     # no edges to weight: rejected before any weighting, without a warning
     mesh = Mesh(vertices=np.eye(3), faces=np.empty((0, 3), dtype=int))
     with pytest.raises(DisconnectedGraphError) as exc:
-        build_graph(mesh, weighting)
+        build_graph(mesh)
     assert exc.value.n_components == 3
 
 
 def test_connected_components_k4(tetra):
-    graph = build_graph(tetra, "uniform")
+    graph = build_graph(tetra)
     assert graph.n_components == 1
 
 

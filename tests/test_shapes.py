@@ -15,7 +15,7 @@ from specmatch.spectral import eigs_smallest
 def test_shapes_produce_connected_manifolds(factory, kwargs):
     mesh = factory(**kwargs)
     assert mesh.n_vertices > 100
-    graph = build_graph(mesh, "gaussian")  # raises if disconnected
+    graph = build_graph(mesh)  # raises if disconnected
     assert graph.n == mesh.n_vertices
     # each edge should belong to exactly two faces on these closed or
     # capped surfaces, so |F| is even and Euler-consistent sizes hold
@@ -54,7 +54,7 @@ def test_torus_spectrum_is_simple():
     # the bump pattern must break all mesh symmetries, otherwise repeated
     # eigenvalues make eigenvector-level comparisons ill-posed downstream
     mesh = bumpy_torus(24, 16)
-    graph = build_graph(mesh, "gaussian")
+    graph = build_graph(mesh)
     spectrum = eigs_smallest(assemble(graph), 12)
     gaps = np.diff(spectrum.eigenvalues[1:])
     assert gaps.min() > 1e-8

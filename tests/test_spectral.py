@@ -96,7 +96,7 @@ def test_spectrum_does_not_depend_on_vertex_order():
     spectra = []
     for seed in (133, 134, 135):
         mesh, _ = synth_transform(bent_cylinder(16, 40), "isometry_relabel", seed=seed)
-        lap = assemble(build_graph(mesh, "gaussian"))
+        lap = assemble(build_graph(mesh))
         oracle = scipy.linalg.eigvalsh(lap.toarray(), subset_by_index=[0, 50])
         vals = eigs_smallest(lap, 50).eigenvalues
         np.testing.assert_allclose(vals, oracle, rtol=1e-10, atol=1e-12)
@@ -109,7 +109,7 @@ def test_fewer_pairs_are_the_leading_pairs_of_more():
     # a fixed-K match solves K+1 pairs; they must be the ones the 50-pair
     # solve would have given
     mesh, _ = synth_transform(bent_cylinder(12, 23), "isometry_relabel", seed=5)
-    lap = assemble(build_graph(mesh, "gaussian"))
+    lap = assemble(build_graph(mesh))
     few, many = eigs_smallest(lap, 10), eigs_smallest(lap, 50)
     assert few.n_pairs == 11
     np.testing.assert_allclose(few.eigenvalues, many.eigenvalues[:11], rtol=1e-12)
@@ -120,7 +120,7 @@ def test_method_reports_solver_path():
     rng = np.random.default_rng(7)
     small = assemble(random_connected_graph(rng, 30))
     assert eigs_smallest(small, 8).method == "dense"
-    mesh = assemble(build_graph(bent_cylinder(16, 40), "gaussian"))
+    mesh = assemble(build_graph(bent_cylinder(16, 40)))
     assert eigs_smallest(mesh, 50).method == "shift_invert"
 
 
@@ -170,7 +170,7 @@ def test_deterministic_repeat(torus):
     from specmatch.laplacian import assemble as asm
     from specmatch.mesh_graph import build_graph
 
-    graph = build_graph(torus, "gaussian")
+    graph = build_graph(torus)
     lap = asm(graph)
     s1 = eigs_smallest(lap, 10)
     s2 = eigs_smallest(lap, 10)

@@ -7,16 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, SpecmatchError
+from .errors import InputError
 from .spectral import Spectrum
-
-
-class ZeroNormColumnError(SpecmatchError):
-    """A vertex embeds at the origin and cannot be projected to the sphere."""
-
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex} has zero-norm embedding coordinates")
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ def normalize_hypersphere(emb: Embedding) -> Embedding:
     norms = np.linalg.norm(emb.coords, axis=0)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ZeroNormColumnError(int(zero[0]))
+        raise InputError(f"vertex {zero[0]} has zero-norm embedding coordinates")
     return Embedding(coords=emb.coords / norms)
 
 

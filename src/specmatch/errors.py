@@ -4,7 +4,7 @@
 class SpecmatchError(Exception):
     """Base class for all package errors.
 
-    An error that is not a ``NumericalError`` rejects its input.
+    Every rejected input raises an ``InputError``.
     """
 
 
@@ -17,7 +17,7 @@ class InputError(SpecmatchError, ValueError):
     table's fields. Also a ``ValueError``, as any bad argument is."""
 
 
-class MeshParseError(SpecmatchError):
+class MeshParseError(InputError):
     """Raised when a mesh file cannot be parsed.
 
     Carries the 1-based line number at which parsing failed.
@@ -29,16 +29,7 @@ class MeshParseError(SpecmatchError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-class DegenerateFaceError(SpecmatchError):
-    """A face repeats a vertex index."""
-
-    def __init__(self, face_index, face):
-        self.face_index = face_index
-        self.face = tuple(int(v) for v in face)
-        super().__init__(f"face {face_index} is degenerate: {self.face}")
-
-
-class DisconnectedGraphError(SpecmatchError):
+class DisconnectedGraphError(InputError):
     """The graph has more than one connected component."""
 
     def __init__(self, n_components):

@@ -27,9 +27,6 @@ class GroundTruth:
 
     pairs: dict[int, int]
 
-    def __len__(self):
-        return len(self.pairs)
-
 
 @dataclass(frozen=True)
 class ErrorReport:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
-from .errors import DegenerateFaceError, DisconnectedGraphError, InputError, MeshParseError
+from .errors import DisconnectedGraphError, InputError, MeshParseError
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Mesh:
         repeats = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
         if repeats.any():
             idx = int(repeats.argmax())
-            raise DegenerateFaceError(idx, f[idx])
+            raise InputError(f"face {idx} is degenerate: {tuple(f[idx].tolist())}")
 
     @property
     def n_vertices(self) -> int:
@@ -282,7 +282,7 @@ def build_graph(mesh: Mesh) -> Graph:
     def weight(lengths):
         s = float(lengths.mean())
         if s <= 0:
-            raise ValueError(f"sigma must be positive, got {s}")
+            raise InputError("every edge of the mesh has length 0")
         return np.exp(-(lengths ** 2) / s ** 2)
 
     if mesh.n_faces == 0:

@@ -49,8 +49,6 @@ class MatchResult:
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
 

@@ -72,7 +72,7 @@ def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
 
     # Lanczos needs a basis well beyond K+1 vectors; small problems go
     # straight to the dense solver
-    if 5 * min(K + 3, n - 1) >= n:
+    if 5 * (K + 3) >= n:
         method = "dense"
         vals, vecs = np.linalg.eigh(L.toarray())
         vals, vecs = vals[1:K + 1], vecs[:, 1:K + 1]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ def test_match_outputs_deterministic(tmp_path, torus_off):
                      "--out-corr", str(corr), "--out-report", str(rep)]) == 0
         outs.append((corr.read_text(), rep.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_match_report_goes_to_stdout_by_default(tmp_path, torus_off, capsys):
+    assert main(["match", torus_off, torus_off, "--k", "8",
+                 "--out-corr", str(tmp_path / "corr.tsv")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["em"]["n_unmatched"] == 0
+
+
+def test_synth_level_is_its_ramp_parameter(tmp_path, torus_off):
+    # noise level 2 is the ramp's 0.05
+    outs = []
+    for tag, strength in (("level", ["--level", "2"]), ("param", ["--param", "0.05"])):
+        mesh, gt = tmp_path / f"{tag}.off", tmp_path / f"{tag}.tsv"
+        assert main(["synth", torus_off, "--kind", "noise", *strength, "--seed", "4",
+                     "--out-mesh", str(mesh), "--out-gt", str(gt)]) == 0
+        outs.append((mesh.read_bytes(), gt.read_bytes()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] != Path(torus_off).read_bytes()
 
 
 def test_embed_writes_embedding(tmp_path, torus_off, capsys):
@@ -179,6 +199,16 @@ def test_disconnected_mesh_is_an_input_failure(tmp_path, capsys):
     err = _assert_one_line_failure(
         capsys, ["embed", str(off), "--out", str(tmp_path / "emb.txt")], EXIT_INPUT)
     assert "stage 'mesh_graph'" in err and "2 components" in err
+
+
+def test_zero_length_mesh_is_an_input_failure(tmp_path, capsys):
+    # three coincident vertices: the mean edge length, the Gaussian scale, is 0
+    off = tmp_path / "zero.off"
+    off.write_text("OFF\n3 1 0\n0 0 0\n0 0 0\n0 0 0\n3 0 1 2\n")
+    err = _assert_one_line_failure(
+        capsys, ["embed", str(off), "--out", str(tmp_path / "emb.txt")], EXIT_INPUT)
+    assert err == ("specmatch embed: stage 'mesh_graph': "
+                   "every edge of the mesh has length 0\n")
 
 
 def test_empty_alignment_is_an_input_failure(tmp_path, torus_off, capsys):

@@ -195,6 +195,16 @@ def test_noise_zero_is_identity(torus_small):
     assert gt.pairs == {i: i for i in range(torus_small.n_vertices)}
 
 
+def test_holes_zero_is_a_copy(torus_small):
+    out, gt = synth_transform(torus_small, "holes", 0.0)
+    assert out is not torus_small
+    assert not np.shares_memory(out.vertices, torus_small.vertices)
+    assert not np.shares_memory(out.faces, torus_small.faces)
+    np.testing.assert_array_equal(out.vertices, torus_small.vertices)
+    np.testing.assert_array_equal(out.faces, torus_small.faces)
+    assert gt.pairs == {i: i for i in range(torus_small.n_vertices)}
+
+
 def test_noise_displacement_scales(torus_small):
     mel = torus_small.mean_edge_length()
     out, _ = synth_transform(torus_small, "noise", param=0.1, seed=5)

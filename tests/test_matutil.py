@@ -75,6 +75,16 @@ def test_hungarian_min_max_duality():
     )
 
 
+@pytest.mark.parametrize("cost, sense, message", [
+    (np.zeros((2, 3)), "min", "cost must be square"),
+    (np.array([[0.0, np.nan], [1.0, 0.0]]), "min", "cost must be finite"),
+    (np.eye(2), "avg", "sense must be 'min' or 'max', got 'avg'"),
+], ids=["non-square", "non-finite", "sense"])
+def test_hungarian_rejects_bad_arguments(cost, sense, message):
+    with pytest.raises(ValueError, match=message):
+        hungarian(cost, sense)
+
+
 def test_permutation_matrix_properties():
     perm = PermutationMatrix(np.array([2, 0, 1]))
     P = perm.to_matrix()

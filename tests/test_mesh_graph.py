@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specmatch.errors import DegenerateFaceError, DisconnectedGraphError, MeshParseError
+from specmatch.errors import DisconnectedGraphError, InputError, MeshParseError
 from specmatch.mesh_graph import (
     Graph,
     Mesh,
@@ -62,6 +62,14 @@ def test_load_off_tetrahedron(tmp_path):
     from_ply = load_mesh(str(ply))
     np.testing.assert_array_equal(from_ply.vertices, mesh.vertices)
     np.testing.assert_array_equal(from_ply.faces, mesh.faces)
+
+
+def test_load_off_counts_on_magic_line(tmp_path):
+    path = tmp_path / "tetra.off"
+    path.write_text(TETRA_OFF.replace("OFF\n4 4 0", "OFF 4 4 0"))
+    mesh = load_mesh(str(path))
+    np.testing.assert_array_equal(mesh.vertices, tetrahedron_mesh().vertices)
+    np.testing.assert_array_equal(mesh.faces, tetrahedron_mesh().faces)
 
 
 def test_load_off_truncated_vertices(tmp_path):
@@ -161,8 +169,23 @@ def test_non_finite_input_rejected(bad):
 
 
 def test_degenerate_face_rejected():
-    with pytest.raises(DegenerateFaceError):
+    with pytest.raises(InputError, match=r"^face 0 is degenerate: \(0, 1, 1\)$"):
         Mesh(vertices=np.zeros((3, 3)), faces=np.array([[0, 1, 1]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Mesh(vertices=np.zeros((2, 3)), faces=np.zeros((0, 3))),
+     "mesh needs at least 3 vertices, got 2"),
+    (lambda: Graph.from_adjacency(np.zeros((2, 3))), "adjacency must be square"),
+    (lambda: Graph.from_adjacency(np.array([[0.0, 1.0], [2.0, 0.0]])),
+     "adjacency must be symmetric"),
+    (lambda: Graph.from_adjacency(np.eye(2)), "adjacency must have zero diagonal"),
+    (lambda: Graph.from_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]])),
+     "weights must be non-negative"),
+], ids=["two-vertices", "non-square", "asymmetric", "diagonal", "negative"])
+def test_bad_mesh_or_adjacency_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_face_index_out_of_range():

@@ -15,6 +15,12 @@ def test_config_validation():
     PipelineConfig()  # defaults are valid
 
 
+@pytest.mark.parametrize("threshold", [1.5, -1.5])
+def test_config_rejects_out_of_range_sig_threshold(threshold):
+    with pytest.raises(ValueError, match=r"sig-threshold must be in \[-1,1\]"):
+        PipelineConfig(sig_threshold=threshold)
+
+
 def test_self_match_is_identity(torus_small):
     result = run_match(torus_small, torus_small, PipelineConfig(k=8))
     corr = result.correspondence

@@ -124,6 +124,12 @@ def test_method_reports_solver_path():
     assert eigs_smallest(mesh, 50).method == "shift_invert"
 
 
+@pytest.mark.parametrize("K", [3, 4])
+def test_more_pairs_than_rows_rejected(p3, K):
+    with pytest.raises(ValueError, match=rf"K\+1={K + 1} exceeds matrix size n=3"):
+        eigs_smallest(assemble(p3), K)
+
+
 def test_arpack_failure_is_nonconvergence(monkeypatch):
     lap = assemble(random_connected_graph(np.random.default_rng(8), 200))
 

@@ -5,7 +5,7 @@ embedding -> eigenbasis alignment -> EM point registration.
 """
 
 from .alignment import EigenAlignment, align_embeddings, eigensignature, histogram_similarity
-from .em_registration import Correspondence, EmOptions, em_register
+from .em_registration import Correspondence, em_register
 from .embedding import (
     commute_time_distance,
     commute_time_embedding,
@@ -45,7 +45,6 @@ __all__ = [
     "eigensignature",
     "histogram_similarity",
     "Correspondence",
-    "EmOptions",
     "em_register",
     "commute_time_distance",
     "commute_time_embedding",

@@ -27,56 +27,15 @@ NEAR_PAIR_SHARE = 1e-3
 MAP_THRESHOLD = 0.5
 # EM has converged once the relative log-likelihood change drops below this
 TOL = 1e-6
+# EM stops after this many iterations whether or not it has converged
+MAX_ITER = 100
+# prior of the uniform outlier class over the unit ball; each of the n
+# clusters has prior (1 - PI_OUT) / n
+PI_OUT = 0.01
 
 
 def unit_ball_volume(K: int) -> float:
     return float(np.exp((K / 2.0) * np.log(np.pi) - gammaln(K / 2.0 + 1.0)))
-
-
-@dataclass(frozen=True)
-class GmmParams:
-    """Mixture parameters: orthogonal alignment, isotropic variance, priors."""
-
-    R: np.ndarray            # K x K orthogonal
-    sigma: float             # isotropic variance
-    pi_in: float             # shared per-cluster prior
-    pi_out: float            # outlier prior; n * pi_in + pi_out = 1
-    uniform_const: float     # the constant multiplying sigma^{K/2} in the posterior
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        object.__setattr__(self, "R", R)
-        K = R.shape[0]
-        if np.linalg.norm(R.T @ R - np.eye(K)) > 1e-8:
-            raise ValueError("R is not orthogonal")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    @property
-    def K(self) -> int:
-        return self.R.shape[0]
-
-
-def make_params(R: np.ndarray, sigma: float, n: int, pi_out: float) -> GmmParams:
-    """Build mixture parameters with the uniform component supported on the
-    unit ball (the hypersphere-normalized coordinates live inside it)."""
-    if not 0.0 <= pi_out < 1.0:
-        raise ValueError(f"pi_out must be in [0, 1), got {pi_out}")
-    R = np.asarray(R, dtype=float)
-    K = R.shape[0]
-    pi_in = (1.0 - pi_out) / n
-    if pi_out == 0.0:
-        uniform_const = 0.0
-    else:
-        density = 1.0 / unit_ball_volume(K)
-        uniform_const = (pi_out / pi_in) * (2.0 * np.pi) ** (K / 2.0) * density
-    return GmmParams(
-        R=R,
-        sigma=max(sigma, SIGMA_FLOOR),
-        pi_in=pi_in,
-        pi_out=pi_out,
-        uniform_const=uniform_const,
-    )
 
 
 def _sq_distances(X: np.ndarray, X_data: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -103,33 +62,36 @@ def _sq_distances(X: np.ndarray, X_data: np.ndarray, R: np.ndarray) -> np.ndarra
     return D2
 
 
-def e_step(D2: np.ndarray, params: GmmParams) -> tuple[np.ndarray, float]:
+def e_step(D2: np.ndarray, sigma: float, K: int) -> tuple[np.ndarray, float]:
     """Row-stochastic m x (n+1) posterior (the last column is the outlier
     class) and the observed-data log-likelihood, from the m x n squared
-    distances ``D2`` of ``_sq_distances`` at ``params.R``.
+    distances ``D2`` of ``_sq_distances`` in K dimensions at variance sigma.
 
     Rows are computed with a max-shift before exponentiation, so very
     small variances do not underflow. A row's log-likelihood is its shift
     plus the log of its normalizer plus log pi_in - K/2 log(2 pi sigma).
     """
     m, n = D2.shape
+    pi_in = (1.0 - PI_OUT) / n
+    # the outlier term over the Gaussian ones is uniform_const sigma^{K/2},
+    # with the uniform density supported on the unit ball (the
+    # hypersphere-normalized coordinates live inside it)
+    density = 1.0 / unit_ball_volume(K)
+    uniform_const = (PI_OUT / pi_in) * (2.0 * np.pi) ** (K / 2.0) * density
     posterior = np.empty((m, n + 1))
     # the exponents, their exponentials and the inlier posterior are all
     # written in place into the first n columns
     inlier = posterior[:, :n]
-    np.divide(D2, -2.0 * params.sigma, out=inlier)
-    if params.uniform_const > 0.0:
-        log_u = np.log(params.uniform_const) + (params.K / 2.0) * np.log(params.sigma)
-    else:
-        log_u = -np.inf
+    np.divide(D2, -2.0 * sigma, out=inlier)
+    log_u = np.log(uniform_const) + (K / 2.0) * np.log(sigma)
     shift = np.maximum(inlier.max(axis=1), log_u)
     inlier -= shift[:, None]
     np.exp(inlier, out=inlier)
-    out = np.exp(log_u - shift)   # zeros, without a warning, when log_u = -inf
+    out = np.exp(log_u - shift)
     denom = inlier.sum(axis=1) + out
     inlier /= denom[:, None]
     posterior[:, -1] = out / denom
-    const = np.log(params.pi_in) - (params.K / 2.0) * np.log(2.0 * np.pi * params.sigma)
+    const = np.log(pi_in) - (K / 2.0) * np.log(2.0 * np.pi * sigma)
     ll = float((shift + np.log(denom)).sum() + m * const)
     return posterior, ll
 
@@ -164,35 +126,20 @@ def m_step(
     return R, max(sigma, SIGMA_FLOOR), degenerate
 
 
-def log_likelihood(X: np.ndarray, X_data: np.ndarray, params: GmmParams) -> float:
-    """Observed-data log-likelihood of the mixture (the EM objective),
-    from its own distance matrix, built by direct differences rather than
-    by ``_sq_distances``; ``e_step`` returns the same value."""
-    K = params.K
-    D2 = cdist(X_data.T, (params.R @ X).T, metric="sqeuclidean")
+def log_likelihood(X: np.ndarray, X_data: np.ndarray, R: np.ndarray, sigma: float) -> float:
+    """Observed-data log-likelihood of the mixture (the EM objective) at
+    (R, sigma), from its own distance matrix, built by direct differences
+    rather than by ``_sq_distances``; ``e_step`` returns the same value."""
+    K, n = X.shape
+    D2 = cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
     log_gauss = (
-        np.log(params.pi_in)
-        - (K / 2.0) * np.log(2.0 * np.pi * params.sigma)
-        - D2 / (2.0 * params.sigma)
+        np.log((1.0 - PI_OUT) / n)
+        - (K / 2.0) * np.log(2.0 * np.pi * sigma)
+        - D2 / (2.0 * sigma)
     )
-    if params.pi_out > 0.0:
-        log_out = np.log(params.pi_out) + np.log(1.0 / unit_ball_volume(K))
-        terms = np.concatenate(
-            [log_gauss, np.full((D2.shape[0], 1), log_out)], axis=1
-        )
-    else:
-        terms = log_gauss
+    log_out = np.log(PI_OUT) + np.log(1.0 / unit_ball_volume(K))
+    terms = np.concatenate([log_gauss, np.full((D2.shape[0], 1), log_out)], axis=1)
     return float(logsumexp(terms, axis=1).sum())
-
-
-@dataclass(frozen=True)
-class EmOptions:
-    max_iter: int = 100
-    pi_out: float = 0.01     # checked by ``make_params``
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -205,27 +152,23 @@ class Correspondence:
     iterations: int = 0
     log_likelihood: float = float("-inf")
     log_likelihood_trace: np.ndarray = None
-    params: GmmParams = None
+    R: np.ndarray = None                  # K x K orthogonal alignment
+    sigma: float = None                   # isotropic variance
     degenerate: bool = False
-    converged: bool = False               # False when max_iter stopped EM
+    converged: bool = False               # False when MAX_ITER stopped EM
 
 
-def em_register(
-    X: np.ndarray,
-    X_data: np.ndarray,
-    R0: np.ndarray,
-    opts: EmOptions = EmOptions(),
-) -> Correspondence:
+def em_register(X: np.ndarray, X_data: np.ndarray, R0: np.ndarray) -> Correspondence:
     """Register the data point set onto the cluster set starting from R0.
 
-    X is K x n (cluster centers), X_data is K x m. R0 is typically the
-    signed permutation produced by the eigenbasis alignment. Iterates
-    until the relative log-likelihood change drops below ``TOL`` or
-    ``opts.max_iter`` is hit, then accepts the assignments whose
-    posterior strictly exceeds ``MAP_THRESHOLD``. Each iteration is an
-    m-step followed by an e-step, and each e-step builds one distance
-    matrix; the first e-step, at R0, also gives the starting variance.
-    The last e-step's posterior and likelihood are the result.
+    X is K x n (cluster centers), X_data is K x m. R0 is an orthogonal
+    K x K matrix, typically the signed permutation produced by the
+    eigenbasis alignment. Iterates until the relative log-likelihood
+    change drops below ``TOL`` or ``MAX_ITER`` is hit, then accepts the
+    assignments whose posterior strictly exceeds ``MAP_THRESHOLD``. Each
+    iteration is an m-step followed by an e-step, and each e-step builds
+    one distance matrix; the first e-step, at R0, also gives the starting
+    variance. The last e-step's posterior and likelihood are the result.
     """
     X = np.asarray(X, dtype=float)
     X_data = np.asarray(X_data, dtype=float)
@@ -236,32 +179,33 @@ def em_register(
         raise ValueError("the cluster point set X is empty")
     if X_data.shape[1] == 0:
         raise ValueError("the data point set X_data is empty")
-    R0 = np.asarray(R0, dtype=float)
+    R = np.asarray(R0, dtype=float)
+    if R.shape != (K, K) or np.linalg.norm(R.T @ R - np.eye(K)) > 1e-8:
+        raise ValueError(f"R0 must be an orthogonal {K} x {K} matrix")
 
     # the starting variance is the mean squared distance from each data
     # point to its nearest center
-    D2 = _sq_distances(X, X_data, R0)
-    params = make_params(R0, float(D2.min(axis=1).mean()), n, pi_out=opts.pi_out)
+    D2 = _sq_distances(X, X_data, R)
+    sigma = max(float(D2.min(axis=1).mean()), SIGMA_FLOOR)
     trace = []
     degenerate = converged = False
     iterations = 0
     while True:
-        posterior, ll = e_step(D2, params)
+        posterior, ll = e_step(D2, sigma, K)
         del D2   # the next matrix is built only after this one is dropped
         if not np.isfinite(ll):
             raise NumericalError(f"non-finite log-likelihood at e-step {iterations + 1}")
         trace.append(ll)
-        if converged or iterations == opts.max_iter:
+        if converged or iterations == MAX_ITER:
             break
         R, sigma, degenerate = m_step(X, X_data, posterior[:, :-1])
-        params = make_params(R, sigma, n, pi_out=opts.pi_out)
         iterations += 1
         # converged once the likelihood this m-step started from moved less
         # than TOL from the one before; one more e-step gives the result
         converged = iterations > 1 and (
             abs(ll - trace[-2]) / max(abs(trace[-2]), 1e-30) < TOL
         )
-        D2 = _sq_distances(X, X_data, params.R)
+        D2 = _sq_distances(X, X_data, R)
 
     winners = posterior[:, :-1].argmax(axis=1)
     accepted = posterior[np.arange(winners.size), winners] > MAP_THRESHOLD
@@ -274,7 +218,8 @@ def em_register(
         iterations=iterations,
         log_likelihood=ll,
         log_likelihood_trace=np.array(trace),
-        params=params,
+        R=R,
+        sigma=sigma,
         degenerate=degenerate,
         converged=converged,
     )

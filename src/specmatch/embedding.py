@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .spectral import Spectrum
+from .spectral import RESIDUAL_SHARE, Spectrum
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,14 @@ def select_dimension(eigenvalues, n: int, theta_target: float) -> DimensionSelec
 
 
 def normalize_hypersphere(emb: Embedding) -> Embedding:
-    """Scale every column to unit norm, placing vertices on the K-sphere."""
+    """Scale every column to unit norm, placing vertices on the K-sphere.
+
+    A column whose norm is within the eigensolver's accuracy of 0, relative
+    to the largest column norm, has no direction to project onto: it is
+    rejected as if it were exactly 0.
+    """
     norms = np.linalg.norm(emb.coords, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(norms <= RESIDUAL_SHARE * norms.max())
     if zero.size:
         raise InputError(f"vertex {zero[0]} has zero-norm embedding coordinates")
     return Embedding(coords=emb.coords / norms)

@@ -50,11 +50,10 @@ def _geodesic_graph(mesh: Mesh):
     return g.adjacency
 
 
-def _sweep_sources(n: int, sweeps: int = 20) -> np.ndarray:
-    """The random sources of a diameter estimate, the same for every call."""
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
-    return np.random.default_rng(0).choice(n, size=min(sweeps, n), replace=False)
+def _sweep_sources(n: int) -> np.ndarray:
+    """The 20 random sources of a diameter estimate (all n vertices when
+    there are fewer), the same for every call."""
+    return np.random.default_rng(0).choice(n, size=min(20, n), replace=False)
 
 
 def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
@@ -62,9 +61,9 @@ def geodesic_distances(mesh: Mesh, source: int | np.ndarray) -> np.ndarray:
     return dijkstra(_geodesic_graph(mesh), directed=False, indices=source)
 
 
-def geodesic_diameter(mesh: Mesh, sweeps: int = 20) -> float:
+def geodesic_diameter(mesh: Mesh) -> float:
     """Max distance over a set of random-source sweeps (diameter estimate)."""
-    return float(geodesic_distances(mesh, _sweep_sources(mesh.n_vertices, sweeps)).max())
+    return float(geodesic_distances(mesh, _sweep_sources(mesh.n_vertices)).max())
 
 
 def registration_error(corr, gt: GroundTruth, mesh_a: Mesh) -> ErrorReport:
@@ -176,7 +175,7 @@ def _connected(mesh: Mesh) -> bool:
     return Graph(adjacency=_edge_matrix(mesh, np.ones_like)).n_components == 1
 
 
-def _holes(mesh: Mesh, fraction: float, rng, attempts: int = 25):
+def _holes(mesh: Mesh, fraction: float, rng):
     if not 0.0 <= fraction < 1.0:
         raise InputError("hole fraction must be in [0, 1)")
     n_remove = int(round(fraction * mesh.n_faces))
@@ -185,7 +184,7 @@ def _holes(mesh: Mesh, fraction: float, rng, attempts: int = 25):
             Mesh(vertices=mesh.vertices.copy(), faces=mesh.faces.copy()),
             GroundTruth({i: i for i in range(mesh.n_vertices)}),
         )
-    for _ in range(attempts):
+    for _ in range(25):
         drop = rng.choice(mesh.n_faces, size=n_remove, replace=False)
         keep_mask = np.ones(mesh.n_faces, dtype=bool)
         keep_mask[drop] = False

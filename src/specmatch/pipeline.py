@@ -22,7 +22,7 @@ K_MAX_DEFAULT = 50
 class PipelineConfig:
     """All knobs of a run and the only copy of their defaults; ranges checked
     on construction. The graph weights (Gaussian, with sigma the mean edge
-    length) and the EM options (``EmOptions()``) are fixed."""
+    length) and the EM constants of ``em_registration`` are fixed."""
 
     k: int | None = None
     theta: float = 0.95
@@ -135,7 +135,7 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     report["em"] = {
         "iterations": corr.iterations,
         "converged": corr.converged,
-        "final_sigma": corr.params.sigma,
+        "final_sigma": corr.sigma,
         "log_likelihood": corr.log_likelihood,
         "n_matched": len(corr.map_matches),
         "n_unmatched": len(corr.unmatched),

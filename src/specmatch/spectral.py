@@ -17,6 +17,8 @@ DENSE_LIMIT = 2000
 SHIFT = -1e-6
 # absolute tolerance of the tests in check_spectral_properties
 PROPERTY_ATOL = 1e-8
+# every returned pair's residual is at most this multiple of ||L||_1
+RESIDUAL_SHARE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
     if K + 1 > n:
         raise ValueError(f"K+1={K + 1} exceeds matrix size n={n}")
     norm1 = splinalg.norm(L, 1) if L.nnz else 1.0
-    tol = 1e-8 * norm1   # on every pair's residual
+    tol = RESIDUAL_SHARE * norm1
     null = (np.ones(n) / np.linalg.norm(np.ones(n))).reshape(-1, 1)
 
     # Lanczos needs a basis well beyond K+1 vectors; small problems go
@@ -97,9 +99,11 @@ def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
-    if vals.size and vals[0] <= 1e-8 * max(1.0, float(vals[-1])):
-        # a second numerically-zero eigenvalue means the graph is disconnected
-        raise DisconnectedGraphError(2)
+    # each numerically-zero eigenvalue beyond the null pair's is one more
+    # connected component, as far as the K computed pairs show
+    n_zero = np.count_nonzero(vals <= 1e-8 * max(1.0, float(vals.max(initial=0.0))))
+    if n_zero:
+        raise DisconnectedGraphError(1 + n_zero)
     vals = np.concatenate([[float(null[:, 0] @ (L @ null[:, 0]))], vals])
     vecs = np.hstack([null, vecs])
     residuals = np.linalg.norm(L @ vecs - vecs * vals, axis=0)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
+from specmatch import em_registration
 from specmatch.alignment import align_embeddings, eigensignature, histogram_similarity
-from specmatch.em_registration import EmOptions, em_register
+from specmatch.em_registration import em_register
 from specmatch.embedding import (
     commute_time_distance,
     commute_time_embedding,
@@ -288,7 +289,7 @@ def test_a9_alignment_recovery(capsys, torus_spectrum):
              f"scramble recovery {recovered}/100, spurious dropped {dropped}/100")
 
 
-def test_a10_em_behavior(capsys):
+def test_a10_em_behavior(capsys, monkeypatch):
     rng = np.random.default_rng(6)
     K, n, n_out = 10, 400, 40
     X = rng.standard_normal((K, n))
@@ -299,7 +300,9 @@ def test_a10_em_behavior(capsys):
     dirs /= np.linalg.norm(dirs, axis=0)
     data = np.hstack([Q @ X, dirs * radii])
 
-    corr = em_register(X, data, Q, EmOptions(pi_out=0.1, max_iter=100))
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.1)
+    monkeypatch.setattr(em_registration, "MAX_ITER", 100)
+    corr = em_register(X, data, Q)
     trace = corr.log_likelihood_trace
     monotone = bool(np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1])))
     out_mass = corr.posterior[n:, -1]
@@ -307,8 +310,9 @@ def test_a10_em_behavior(capsys):
     inliers_ok = all(dict(corr.map_matches).get(j) == j for j in range(n))
 
     # a second, unrelated run must also keep the objective monotone
-    corr2 = em_register(X, rng.standard_normal((K, 50)), np.eye(K),
-                        EmOptions(pi_out=0.05, max_iter=60))
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.05)
+    monkeypatch.setattr(em_registration, "MAX_ITER", 60)
+    corr2 = em_register(X, rng.standard_normal((K, 50)), np.eye(K))
     t2 = corr2.log_likelihood_trace
     monotone2 = bool(np.all(np.diff(t2) >= -1e-9 * np.abs(t2[:-1])))
 

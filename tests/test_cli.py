@@ -211,6 +211,19 @@ def test_zero_length_mesh_is_an_input_failure(tmp_path, capsys):
                    "every edge of the mesh has length 0\n")
 
 
+def test_rounding_level_embedding_is_an_input_failure(tmp_path, capsys):
+    # the centre of a mirror-symmetric bowtie sits at 0 on the first
+    # eigenvector up to rounding, so sm2 has no direction to project it onto
+    off = tmp_path / "bowtie.off"
+    off.write_text("OFF\n5 2 0\n-2 -1 0\n-2 1 0\n0 0 0\n2 -1 0\n2 1 0\n"
+                   "3 0 1 2\n3 2 3 4\n")
+    err = _assert_one_line_failure(
+        capsys, ["embed", str(off), "--k", "1", "--out", str(tmp_path / "emb.txt")],
+        EXIT_INPUT)
+    assert err == ("specmatch embed: stage 'embedding': "
+                   "vertex 2 has zero-norm embedding coordinates\n")
+
+
 def test_empty_alignment_is_an_input_failure(tmp_path, torus_off, capsys):
     # a noisy copy scores below 1 on every eigenvector pair
     noisy = str(tmp_path / "noisy.off")

@@ -7,14 +7,11 @@ from specmatch import em_registration, laplacian, mesh_graph
 from specmatch.embedding import commute_time_embedding, normalize_hypersphere
 from specmatch.em_registration import (
     Correspondence,
-    EmOptions,
-    GmmParams,
     _sq_distances,
     e_step,
     em_register,
     log_likelihood,
     m_step,
-    make_params,
     unit_ball_volume,
     write_correspondence_tsv,
 )
@@ -29,23 +26,6 @@ def test_unit_ball_volume_anchors():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(np.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * np.pi / 3.0)
-
-
-def test_make_params_priors():
-    params = make_params(np.eye(3), 0.5, n=10, pi_out=0.1)
-    assert params.pi_in == pytest.approx(0.09)
-    assert 10 * params.pi_in + params.pi_out == pytest.approx(1.0)
-    assert params.uniform_const > 0.0
-    no_out = make_params(np.eye(3), 0.5, n=10, pi_out=0.0)
-    assert no_out.uniform_const == 0.0
-
-
-def test_make_params_validation():
-    with pytest.raises(ValueError):
-        make_params(np.eye(2), 0.5, n=5, pi_out=1.0)
-    with pytest.raises(ValueError):
-        GmmParams(R=np.array([[1.0, 1.0], [0.0, 1.0]]), sigma=1.0,
-                  pi_in=0.1, pi_out=0.0, uniform_const=0.0)
 
 
 def _direct_sq_distances(X, X_data, R):
@@ -94,7 +74,7 @@ def test_em_on_near_exact_copy_matches_direct_distances(monkeypatch):
     Q = special_ortho_group.rvs(K, random_state=20)
     data = Q @ X[:, rng.permutation(n)] + 1e-10 * rng.standard_normal((K, n))
     corr = em_register(X, data, Q)
-    assert corr.params.sigma == SIGMA_FLOOR
+    assert corr.sigma == SIGMA_FLOOR
     assert corr.converged and corr.iterations == 2
     monkeypatch.setattr(em_registration, "_sq_distances", _direct_sq_distances)
     direct = em_register(X, data, Q)
@@ -102,43 +82,31 @@ def test_em_on_near_exact_copy_matches_direct_distances(monkeypatch):
                                rtol=1e-14, atol=0.0)
 
 
-def test_e_step_single_center_no_outlier():
-    X = np.array([[0.3], [0.4]])
-    data = np.array([[1.0], [-2.0]])
-    params = make_params(np.eye(2), 0.7, n=1, pi_out=0.0)
-    post, _ = e_step(_sq_distances(X, data, params.R), params)
-    np.testing.assert_allclose(post, [[1.0, 0.0]])
-
-
 def test_e_step_equidistant_centers():
     X = np.array([[-1.0, 1.0], [0.0, 0.0]])
     data = np.zeros((2, 1))
-    params = make_params(np.eye(2), 0.3, n=2, pi_out=0.0)
-    post, _ = e_step(_sq_distances(X, data, params.R), params)
-    np.testing.assert_allclose(post[0, :2], [0.5, 0.5])
-    assert post[0, 2] == 0.0
+    post, _ = e_step(_sq_distances(X, data, np.eye(2)), 0.3, 2)
+    assert post[0, 0] == post[0, 1]
+    assert post[0].sum() == pytest.approx(1.0)
 
 
-def test_e_step_outlier_balance():
-    # at distance zero the gaussian term is exp(0); pinning the uniform
-    # term to the same value forces a fifty-fifty split
-    sigma = 0.25
-    params = GmmParams(
-        R=np.eye(2), sigma=sigma, pi_in=0.5, pi_out=0.5,
-        uniform_const=1.0 / sigma,
-    )
+def test_e_step_outlier_balance(monkeypatch):
+    # at distance zero the gaussian term is exp(0); in two dimensions with
+    # one center, PI_OUT = 2/3 pins the uniform term to 2 PI_OUT / (1 -
+    # PI_OUT) sigma = 1, which forces a fifty-fifty split
+    monkeypatch.setattr(em_registration, "PI_OUT", 2.0 / 3.0)
     X = np.zeros((2, 1))
     data = np.zeros((2, 1))
-    post, _ = e_step(_sq_distances(X, data, params.R), params)
+    post, _ = e_step(_sq_distances(X, data, np.eye(2)), 0.25, 2)
     np.testing.assert_allclose(post, [[0.5, 0.5]], atol=1e-12)
 
 
-def test_e_step_rows_stochastic():
+def test_e_step_rows_stochastic(monkeypatch):
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.05)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((3, 8))
     data = rng.standard_normal((3, 12))
-    params = make_params(np.eye(3), 0.2, n=8, pi_out=0.05)
-    post, _ = e_step(_sq_distances(X, data, params.R), params)
+    post, _ = e_step(_sq_distances(X, data, np.eye(3)), 0.2, 3)
     assert post.shape == (12, 9)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(post >= 0.0)
@@ -147,8 +115,7 @@ def test_e_step_rows_stochastic():
 def test_e_step_tiny_sigma_no_underflow():
     X = np.array([[0.0, 10.0]])
     data = np.array([[0.1]])
-    params = make_params(np.eye(1), 1e-14, n=2, pi_out=0.01)
-    post, _ = e_step(_sq_distances(X, data, params.R), params)
+    post, _ = e_step(_sq_distances(X, data, np.eye(1)), 1e-14, 1)
     assert np.all(np.isfinite(post))
     np.testing.assert_allclose(post.sum(axis=1), 1.0)
 
@@ -192,14 +159,14 @@ def test_m_step_degenerate_flag():
     assert degenerate
 
 
-def test_initial_sigma_nearest_center():
+def test_initial_sigma_nearest_center(monkeypatch):
     # EM starts from the mean squared distance to the nearest center (1.0
     # here), and its first likelihood is the e-step's at that variance
+    monkeypatch.setattr(em_registration, "MAX_ITER", 1)
     X = np.array([[0.0, 4.0]])
     data = np.array([[1.0, 3.0]])
-    corr = em_register(X, data, np.eye(1), EmOptions(max_iter=1))
-    params = make_params(np.eye(1), 1.0, n=2, pi_out=0.01)
-    _, ll = e_step(_sq_distances(X, data, params.R), params)
+    corr = em_register(X, data, np.eye(1))
+    _, ll = e_step(_sq_distances(X, data, np.eye(1)), 1.0, 1)
     assert corr.log_likelihood_trace[0] == ll
 
 
@@ -207,10 +174,10 @@ def test_em_identity_registration():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((4, 30))
     X /= np.linalg.norm(X, axis=0)
-    corr = em_register(X, X, np.eye(4), EmOptions(pi_out=0.01))
+    corr = em_register(X, X, np.eye(4))
     assert corr.map_matches == [(j, j) for j in range(30)]
     assert corr.unmatched == []
-    np.testing.assert_allclose(corr.params.R, np.eye(4), atol=1e-8)
+    np.testing.assert_allclose(corr.R, np.eye(4), atol=1e-8)
 
 
 def test_em_perturbed_rotation_recovery():
@@ -224,12 +191,13 @@ def test_em_perturbed_rotation_recovery():
     delta = special_ortho_group.rvs(K, random_state=7)
     A, _, Bt = np.linalg.svd(Q + 0.05 * delta)
     R0 = A @ Bt  # nearest orthogonal matrix to the perturbation
-    corr = em_register(X, data, R0, EmOptions(pi_out=0.01))
+    corr = em_register(X, data, R0)
     assert corr.map_matches == [(j, j) for j in range(n)]
-    assert np.abs(corr.params.R - Q).max() <= 1e-2
+    assert np.abs(corr.R - Q).max() <= 1e-2
 
 
-def test_em_outlier_classification():
+def test_em_outlier_classification(monkeypatch):
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.15)
     rng = np.random.default_rng(8)
     K, n, n_out = 4, 50, 8
     X = rng.standard_normal((K, n))
@@ -239,7 +207,7 @@ def test_em_outlier_classification():
     dirs /= np.linalg.norm(dirs, axis=0)
     outliers = dirs * radii
     data = np.hstack([X, outliers])
-    corr = em_register(X, data, np.eye(K), EmOptions(pi_out=0.15))
+    corr = em_register(X, data, np.eye(K))
     matched = dict(corr.map_matches)
     assert all(matched.get(j) == j for j in range(n))
     assert set(corr.unmatched) == set(range(n, n + n_out))
@@ -247,47 +215,51 @@ def test_em_outlier_classification():
     assert out_mass.min() > 0.5
 
 
-def test_em_loglik_monotone():
+def test_em_loglik_monotone(monkeypatch):
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.05)
+    monkeypatch.setattr(em_registration, "MAX_ITER", 200)
     rng = np.random.default_rng(9)
     K, n = 3, 40
     X = rng.standard_normal((K, n))
     X /= np.linalg.norm(X, axis=0)
     Q = special_ortho_group.rvs(K, random_state=10)
     data = Q @ X + 0.02 * rng.standard_normal((K, n))
-    corr = em_register(X, data, np.eye(K), EmOptions(pi_out=0.05, max_iter=200))
+    corr = em_register(X, data, np.eye(K))
     trace = corr.log_likelihood_trace
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
     assert corr.log_likelihood == pytest.approx(trace[-1])
 
 
-def test_em_final_r_orthogonal():
+def test_em_final_r_orthogonal(monkeypatch):
+    monkeypatch.setattr(em_registration, "MAX_ITER", 30)
     rng = np.random.default_rng(11)
     X = rng.standard_normal((3, 25))
     data = rng.standard_normal((3, 25))
-    corr = em_register(X, data, np.eye(3), EmOptions(max_iter=30))
-    R = corr.params.R
+    corr = em_register(X, data, np.eye(3))
+    R = corr.R
     np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-10)
 
 
-def test_likelihood_consistent_with_e_step():
+def test_likelihood_consistent_with_e_step(monkeypatch):
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.1)
     rng = np.random.default_rng(12)
     X = rng.standard_normal((2, 6))
     data = rng.standard_normal((2, 5))
-    params = make_params(np.eye(2), 0.3, n=6, pi_out=0.1)
-    ll = log_likelihood(X, data, params)
+    ll = log_likelihood(X, data, np.eye(2), 0.3)
     assert np.isfinite(ll)
-    _, e_ll = e_step(_sq_distances(X, data, params.R), params)
+    _, e_ll = e_step(_sq_distances(X, data, np.eye(2)), 0.3, 2)
     assert e_ll == pytest.approx(ll, rel=1e-12)
 
 
-@pytest.mark.parametrize("pi_out", [0.0, 0.01, 0.2])
+@pytest.mark.parametrize("pi_out", [0.01, 0.2])
 @pytest.mark.parametrize("sigma, near", [
     *(pytest.param(sigma, False, id=str(sigma)) for sigma in (1e-12, 1e-6, 0.05, 3.0)),
     # data within 1e-10 of the transformed centers at the variance floor,
     # where the expansion's rounding alone would move the likelihood
     pytest.param(1e-12, True, id="1e-12-near"),
 ])
-def test_e_step_log_likelihood_matches_reference(pi_out, sigma, near):
+def test_e_step_log_likelihood_matches_reference(monkeypatch, pi_out, sigma, near):
+    monkeypatch.setattr(em_registration, "PI_OUT", pi_out)
     rng = np.random.default_rng(13)
     X = rng.standard_normal((4, 9))
     X /= np.linalg.norm(X, axis=0)
@@ -296,9 +268,8 @@ def test_e_step_log_likelihood_matches_reference(pi_out, sigma, near):
     R = special_ortho_group.rvs(4, random_state=14)
     if near:
         data = R @ X[:, cols] + 1e-10 * rng.standard_normal((4, 7))
-    params = make_params(R, sigma, n=9, pi_out=pi_out)
-    _, ll = e_step(_sq_distances(X, data, params.R), params)
-    assert ll == pytest.approx(log_likelihood(X, data, params), rel=1e-12)
+    _, ll = e_step(_sq_distances(X, data, R), sigma, 4)
+    assert ll == pytest.approx(log_likelihood(X, data, R, sigma), rel=1e-12)
 
 
 def _counting(monkeypatch, name):
@@ -317,12 +288,13 @@ def _counting(monkeypatch, name):
 def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
     matrices = _counting(monkeypatch, "_sq_distances")
     e_steps = _counting(monkeypatch, "e_step")
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.05)
     rng = np.random.default_rng(15)
     K, n = 4, 40
     X = rng.standard_normal((K, n))
     X /= np.linalg.norm(X, axis=0)
     data = X + 0.02 * rng.standard_normal((K, n))
-    corr = em_register(X, data, np.eye(K), EmOptions(pi_out=0.05))
+    corr = em_register(X, data, np.eye(K))
     assert corr.iterations > 2
     # one e-step at R0, which also gives the initial variance, and one
     # after each iteration's m-step; each builds one matrix
@@ -330,24 +302,20 @@ def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
     assert len(e_steps) == corr.iterations + 1
 
 
-def test_em_reports_convergence():
+def test_em_reports_convergence(monkeypatch):
     rng = np.random.default_rng(16)
     X = rng.standard_normal((4, 30))
     X /= np.linalg.norm(X, axis=0)
     done = em_register(X, X, np.eye(4))
     assert done.converged
     data = X + 0.05 * rng.standard_normal((4, 30))
-    capped = em_register(X, data, np.eye(4), EmOptions(max_iter=1))
+    monkeypatch.setattr(em_registration, "MAX_ITER", 1)
+    capped = em_register(X, data, np.eye(4))
     assert capped.iterations == 1
     assert not capped.converged
     for corr in (done, capped):
         assert len(corr.log_likelihood_trace) == corr.iterations + 1
         assert corr.log_likelihood == corr.log_likelihood_trace[-1]
-
-
-def test_em_options_reject_a_zero_iteration_cap():
-    with pytest.raises(ValueError, match="max_iter"):
-        EmOptions(max_iter=0)
 
 
 def test_em_final_likelihood_is_checked(monkeypatch):
@@ -356,15 +324,16 @@ def test_em_final_likelihood_is_checked(monkeypatch):
     original = em_registration.e_step
     calls = []
 
-    def nan_on_second(D2, params):
+    def nan_on_second(*args):
         calls.append(1)
-        posterior, ll = original(D2, params)
+        posterior, ll = original(*args)
         return posterior, (np.nan if len(calls) == 2 else ll)
 
     monkeypatch.setattr(em_registration, "e_step", nan_on_second)
+    monkeypatch.setattr(em_registration, "MAX_ITER", 1)
     X = np.array([[0.0, 4.0]])
     with pytest.raises(NumericalError, match="non-finite log-likelihood at e-step 2"):
-        em_register(X, X + 0.5, np.eye(1), EmOptions(max_iter=1))
+        em_register(X, X + 0.5, np.eye(1))
 
 
 def test_em_rejects_empty_point_sets():
@@ -373,6 +342,14 @@ def test_em_rejects_empty_point_sets():
         em_register(np.zeros((3, 0)), X, np.eye(3))
     with pytest.raises(ValueError, match="data point set"):
         em_register(X, np.zeros((3, 0)), np.eye(3))
+
+
+@pytest.mark.parametrize("R0", [np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(3)],
+                         ids=["skew", "wrong-size"])
+def test_em_rejects_a_non_orthogonal_start(R0):
+    X = np.ones((2, 4))
+    with pytest.raises(ValueError, match="R0 must be an orthogonal 2 x 2 matrix"):
+        em_register(X, X, R0)
 
 
 def test_write_correspondence_tsv(tmp_path):

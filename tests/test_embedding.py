@@ -13,7 +13,8 @@ from specmatch.embedding import (
 )
 from specmatch.errors import InputError
 from specmatch.laplacian import assemble
-from specmatch.spectral import dense_eig
+from specmatch.mesh_graph import Mesh, build_graph
+from specmatch.spectral import dense_eig, eigs_smallest
 
 from conftest import path3_graph, random_connected_graph
 
@@ -181,6 +182,19 @@ def test_normalize_p3():
 def test_normalize_zero_column_rejected():
     emb = Embedding(coords=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match="vertex 1 has zero-norm"):
+        normalize_hypersphere(emb)
+
+
+def test_normalize_rounding_level_column_rejected():
+    # the centre of a mirror-symmetric bowtie has first spectral coordinate
+    # 0 analytically and about 1e-15 in floating point
+    mesh = Mesh(
+        vertices=np.array([[-2.0, -1, 0], [-2, 1, 0], [0, 0, 0], [2, -1, 0], [2, 1, 0]]),
+        faces=np.array([[0, 1, 2], [2, 3, 4]]),
+    )
+    emb = commute_time_embedding(eigs_smallest(assemble(build_graph(mesh)), 1), 1)
+    assert 0.0 < abs(emb.coords[0, 2]) <= 1e-12
+    with pytest.raises(InputError, match="vertex 2 has zero-norm"):
         normalize_hypersphere(emb)
 
 

@@ -87,15 +87,9 @@ def test_geodesic_disconnected():
 
 def test_geodesic_diameter_strip():
     mesh = path3_mesh()
-    diam = geodesic_diameter(mesh, sweeps=5)
+    diam = geodesic_diameter(mesh)
     full = geodesic_distances(mesh, np.arange(5))
     assert diam == pytest.approx(float(full.max()))
-
-
-@pytest.mark.parametrize("sweeps", [0, -3])
-def test_geodesic_diameter_rejects_too_few_sweeps(sweeps):
-    with pytest.raises(ValueError, match="sweeps"):
-        geodesic_diameter(path3_mesh(), sweeps=sweeps)
 
 
 def test_registration_error_perfect():

@@ -199,6 +199,22 @@ def test_disconnected_graph_detected():
         eigs_smallest(lap, 2)
 
 
+@pytest.mark.parametrize("K", [4, 10, 20])
+def test_disconnected_graph_counts_components(K):
+    # three disjoint 30-vertex paths: K = 4 and 10 take the shift-invert
+    # path, K = 20 the dense one; each shows two zero non-null eigenvalues
+    adj = np.zeros((90, 90))
+    for start in (0, 30, 60):
+        i = np.arange(start, start + 29)
+        adj[i, i + 1] = adj[i + 1, i] = 1.0
+    from scipy import sparse
+
+    lap = sparse.csr_matrix(np.diag(adj.sum(axis=1)) - adj)
+    with pytest.raises(DisconnectedGraphError) as exc:
+        eigs_smallest(lap, K)
+    assert exc.value.n_components == 3
+
+
 def test_check_properties_p3(p3):
     lap = assemble(p3)
     spectrum = dense_eig(lap)

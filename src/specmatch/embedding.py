@@ -129,6 +129,7 @@ def embedding_stats(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
 
 def dump_embedding(emb: Embedding, path) -> None:
     """Text dump: K rows of n coordinates, 17 significant digits."""
+    fmt = " ".join(["%.17g"] * emb.n) + "\n"
     with open(path, "w") as fh:
         for row in emb.coords:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(fmt % tuple(row))

@@ -6,14 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse import linalg as splinalg
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from .errors import DisconnectedGraphError, NonConvergenceError
+from .errors import DisconnectedGraphError, NonConvergenceError, NumericalError
 from .mesh_graph import Graph
 
 DENSE_LIMIT = 2000
 # shift-invert pole as a multiple of ||L||_1: just below the zero
-# eigenvalue, so the sparse LU factors the positive definite L + 1e-6 ||L||_1 I
+# eigenvalue, so the banded Cholesky factors the positive definite
+# L + 1e-6 ||L||_1 I
 SHIFT = -1e-6
 # absolute tolerance of the tests in check_spectral_properties
 PROPERTY_ATOL = 1e-8
@@ -52,17 +55,51 @@ def _canonicalize_signs(U: np.ndarray) -> np.ndarray:
     return U * signs
 
 
+def _shift_invert_operator(L: sparse.csr_matrix, shift: float) -> splinalg.LinearOperator:
+    """(L - shift I)^-1 as a linear operator, through a banded Cholesky factor.
+
+    In reverse Cuthill-McKee order a mesh Laplacian has a narrow band, so
+    LAPACK's band Cholesky (``dpbtrf``) factors the lower band once, and
+    each application is one band solve (``dpbtrs``) between the two index
+    permutations. Only the lower triangle is read.
+    """
+    n = L.shape[0]
+    perm = reverse_cuthill_mckee(L, symmetric_mode=True)
+    A = sparse.tril((L - shift * sparse.identity(n, format="csr"))[perm][:, perm]).tocoo()
+    band = A.row - A.col
+    # LAPACK band storage ab[i - j, j] = A[i, j], in Fortran order so that
+    # the factor overwrites it in place rather than in a copy
+    ab = np.zeros((band.max() + 1, n), order="F")
+    ab[band, A.col] = A.data
+    factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError(
+            f"L + {-shift:.3e} I is not positive definite: its Cholesky factor "
+            f"fails at row {perm[info - 1]}, so L is not a graph Laplacian"
+        )
+    inverse = np.argsort(perm)
+
+    def solve(b):
+        x, _ = lapack.dpbtrs(factor, b[perm], lower=1)
+        return x[inverse]
+
+    return splinalg.LinearOperator((n, n), matvec=solve, dtype=float)
+
+
 def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
     """The K+1 algebraically smallest eigenpairs of a graph Laplacian D - W.
 
     Mid-size and large problems take one shift-invert Lanczos solve
-    (ARPACK via ``eigsh``) about a shift just below zero, so the sparse LU
-    factors the positive definite L + eps I and the wanted low end of the
-    spectrum becomes the dominant end of its inverse. Problems where K+1 is
-    a sizeable share of n go to a dense solver. Either path yields the K
+    (ARPACK via ``eigsh``) about a shift just below zero. Its inverse
+    operator is a banded Cholesky factor of the positive definite L + eps I
+    in reverse Cuthill-McKee order, so the wanted low end of the spectrum
+    becomes the dominant end of the inverse. Problems where K+1 is a
+    sizeable share of n go to a dense solver. Either path yields the K
     non-null pairs; the analytic null vector takes the first slot, and the
-    connectivity and residual checks are shared. The Lanczos start vector
-    is fixed and each eigenvector's sign is canonicalized, so results are
+    connectivity and residual checks are shared. A matrix with a negative
+    eigenvalue is not a Laplacian: the factorization or the dense solve
+    finds it and raises ``NumericalError``. The Lanczos start vector is
+    fixed and each eigenvector's sign is canonicalized, so results are
     deterministic.
     """
     n = L.shape[0]
@@ -77,13 +114,19 @@ def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
     if 5 * (K + 3) >= n:
         method = "dense"
         vals, vecs = np.linalg.eigh(L.toarray())
+        if vals[0] < -tol:
+            raise NumericalError(
+                f"L has the negative eigenvalue {vals[0]:.3e}, so it is not a "
+                "graph Laplacian"
+            )
         vals, vecs = vals[1:K + 1], vecs[:, 1:K + 1]
     else:
         method = "shift_invert"
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             vals, vecs = splinalg.eigsh(
-                L.tocsc(), k=K + 1, sigma=SHIFT * norm1, which="LM", v0=v0
+                L, k=K + 1, sigma=SHIFT * norm1, which="LM", v0=v0,
+                OPinv=_shift_invert_operator(L, SHIFT * norm1),
             )
         except splinalg.ArpackNoConvergence as exc:
             res = np.linalg.norm(
@@ -100,10 +143,13 @@ def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
         vals, vecs = vals[order], vecs[:, order]
 
     # each numerically-zero eigenvalue beyond the null pair's is one more
-    # connected component, as far as the K computed pairs show
+    # connected component; the K computed pairs may show fewer than there
+    # are, and the off-diagonal pattern (diagonal entries are self-loops)
+    # shows them all
     n_zero = np.count_nonzero(vals <= 1e-8 * max(1.0, float(vals.max(initial=0.0))))
     if n_zero:
-        raise DisconnectedGraphError(1 + n_zero)
+        n_components = connected_components(L, directed=False, return_labels=False)
+        raise DisconnectedGraphError(max(1 + n_zero, n_components))
     vals = np.concatenate([[float(null[:, 0] @ (L @ null[:, 0]))], vals])
     vecs = np.hstack([null, vecs])
     residuals = np.linalg.norm(L @ vecs - vecs * vals, axis=0)

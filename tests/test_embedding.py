@@ -5,6 +5,7 @@ from specmatch.embedding import (
     Embedding,
     commute_time_distance,
     commute_time_embedding,
+    dump_embedding,
     embedding_stats,
     normalize_hypersphere,
     select_dimension,
@@ -211,3 +212,17 @@ def test_embedding_stats_diagonal():
     _, cov = embedding_stats(commute_time_embedding(spectrum, 5))
     off = cov - np.diag(np.diag(cov))
     assert np.abs(off).max() <= 1e-8
+
+
+def test_dump_matches_per_value_formatting(tmp_path):
+    # one format call per row writes the bytes that formatting each value
+    # on its own writes, signed zeros, subnormals and round-trip digits
+    # included
+    rng = np.random.default_rng(10)
+    coords = rng.standard_normal((3, 7)) * np.logspace(-300, 300, 7)
+    coords[0, :3] = [-0.0, 5e-324, 0.1]
+    path = tmp_path / "emb.txt"
+    dump_embedding(Embedding(coords=coords), path)
+    expected = "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in coords)
+    assert path.read_text() == expected
+    np.testing.assert_array_equal(np.loadtxt(path), coords)

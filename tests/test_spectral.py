@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
-from specmatch.errors import DisconnectedGraphError, NonConvergenceError
+from specmatch.errors import DisconnectedGraphError, NonConvergenceError, NumericalError
 from specmatch.evaluation import synth_transform
 from specmatch.laplacian import assemble
 from specmatch.mesh_graph import Graph, build_graph
@@ -192,27 +193,40 @@ def test_disconnected_graph_detected():
     adj[4, 5] = adj[5, 4] = 1.0
     # assemble itself refuses disconnected graphs; build the Laplacian by
     # hand to exercise the solver-level second-zero-eigenvalue detection
-    from scipy import sparse
-
     lap = sparse.csr_matrix(np.diag(adj.sum(axis=1)) - adj)
     with pytest.raises(DisconnectedGraphError):
         eigs_smallest(lap, 2)
 
 
-@pytest.mark.parametrize("K", [4, 10, 20])
+@pytest.mark.parametrize("K", [1, 4, 10, 20])
 def test_disconnected_graph_counts_components(K):
-    # three disjoint 30-vertex paths: K = 4 and 10 take the shift-invert
-    # path, K = 20 the dense one; each shows two zero non-null eigenvalues
+    # three disjoint 30-vertex paths: K = 1, 4 and 10 take the shift-invert
+    # path, K = 20 the dense one. K = 1 computes only one non-null pair, so
+    # its eigenvalues show two components; the matrix shows all three
     adj = np.zeros((90, 90))
     for start in (0, 30, 60):
         i = np.arange(start, start + 29)
         adj[i, i + 1] = adj[i + 1, i] = 1.0
-    from scipy import sparse
 
     lap = sparse.csr_matrix(np.diag(adj.sum(axis=1)) - adj)
     with pytest.raises(DisconnectedGraphError) as exc:
         eigs_smallest(lap, K)
     assert exc.value.n_components == 3
+
+
+@pytest.mark.parametrize("K, match", [
+    pytest.param(4, r"not positive definite: its Cholesky factor fails at row \d+",
+                 id="shift_invert"),
+    pytest.param(30, r"negative eigenvalue -5\.000e-01", id="dense"),
+])
+def test_indefinite_matrix_is_a_numerical_error(K, match):
+    # a Laplacian minus 0.5 I has the eigenvalue -0.5, so it is no graph
+    # Laplacian: K = 4 takes the shift-invert path, whose shifted matrix
+    # has no Cholesky factor, and K = 30 the dense one
+    lap = assemble(random_connected_graph(np.random.default_rng(9), 120))
+    with pytest.raises(NumericalError, match=match) as exc:
+        eigs_smallest(lap - 0.5 * sparse.identity(120, format="csr"), K)
+    assert not isinstance(exc.value, NonConvergenceError)
 
 
 def test_check_properties_p3(p3):

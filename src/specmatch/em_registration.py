@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import gammaln, logsumexp
 
 from .errors import NumericalError
 
@@ -35,6 +33,10 @@ PI_OUT = 0.01
 
 
 def unit_ball_volume(K: int) -> float:
+    """Volume of the unit ball in K dimensions.
+    ``scipy.special`` is imported here, so only a command that runs EM loads it."""
+    from scipy.special import gammaln
+
     return float(np.exp((K / 2.0) * np.log(np.pi) - gammaln(K / 2.0 + 1.0)))
 
 
@@ -129,7 +131,11 @@ def m_step(
 def log_likelihood(X: np.ndarray, X_data: np.ndarray, R: np.ndarray, sigma: float) -> float:
     """Observed-data log-likelihood of the mixture (the EM objective) at
     (R, sigma), from its own distance matrix, built by direct differences
-    rather than by ``_sq_distances``; ``e_step`` returns the same value."""
+    rather than by ``_sq_distances``; ``e_step`` returns the same value.
+    Only tests and tracers call it, so its scipy imports are made here, not at import."""
+    from scipy.spatial.distance import cdist
+    from scipy.special import logsumexp
+
     K, n = X.shape
     D2 = cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
     log_gauss = (

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
@@ -51,6 +50,7 @@ def hungarian(cost, sense: str = "min") -> PermutationMatrix:
 
     Backed by scipy's modified Jonker-Volgenant solver, which is
     deterministic for identical inputs.
+    ``scipy.optimize`` is imported here: it takes 0.25 s that embed and synth need not pay.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -59,6 +59,8 @@ def hungarian(cost, sense: str = "min") -> PermutationMatrix:
         raise ValueError("cost must be finite")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    from scipy.optimize import linear_sum_assignment
+
     _, cols = linear_sum_assignment(cost, maximize=(sense == "max"))
     return PermutationMatrix(cols)
 

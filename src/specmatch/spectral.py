@@ -98,13 +98,18 @@ def eigs_smallest(L: sparse.csr_matrix, K: int) -> Spectrum:
     non-null pairs; the analytic null vector takes the first slot, and the
     connectivity and residual checks are shared. A matrix with a negative
     eigenvalue is not a Laplacian: the factorization or the dense solve
-    finds it and raises ``NumericalError``. The Lanczos start vector is
+    finds it and raises ``NumericalError``; a non-finite entry raises
+    ``NonConvergenceError`` before either path runs. The Lanczos start vector is
     fixed and each eigenvector's sign is canonicalized, so results are
     deterministic.
     """
     n = L.shape[0]
     if K + 1 > n:
         raise ValueError(f"K+1={K + 1} exceeds matrix size n={n}")
+    # a non-finite entry has no finite residual on either path; caught
+    # here, before LAPACK or ARPACK print to stderr and raise their own
+    if not np.isfinite(L.data).all():
+        raise NonConvergenceError([np.nan], np.nan)
     norm1 = splinalg.norm(L, 1) if L.nnz else 1.0
     tol = RESIDUAL_SHARE * norm1
     null = (np.ones(n) / np.linalg.norm(np.ones(n))).reshape(-1, 1)

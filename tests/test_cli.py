@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,43 @@ def test_isolab_no_isomorphism(tmp_path, capsys):
     dump_triplets(sparse.csr_matrix(A), str(pa))
     dump_triplets(sparse.csr_matrix(B), str(pb))
     assert main(["isolab", str(pa), str(pb), "--method", "exact"]) == 1
+
+
+# run in a fresh interpreter, since this suite's own imports load every
+# scipy subpackage; the three commands never make an assignment
+IMPORT_SET_SCRIPT = """
+import os, sys
+import numpy as np
+from scipy import sparse
+import specmatch, specmatch.cli
+from specmatch.laplacian import dump_triplets
+
+LAZY = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft")
+os.chdir(sys.argv[1])
+specmatch.save_mesh(specmatch.bumpy_torus(24, 16), "torus.off")
+A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+dump_triplets(sparse.csr_matrix(A), "a.txt")
+for argv in (["embed", "torus.off", "--k", "8", "--out", "emb.txt"],
+             ["synth", "torus.off", "--kind", "noise", "--param", "0.01",
+              "--out-mesh", "noisy.off", "--out-gt", "gt.tsv"],
+             ["isolab", "a.txt", "a.txt", "--method", "exact"]):
+    assert specmatch.cli.main(argv) == 0, argv
+print("before", *[m for m in LAZY if m in sys.modules])
+specmatch.hungarian(np.eye(3))
+print("after", *[m for m in LAZY if m in sys.modules])
+"""
+
+
+def test_commands_without_an_assignment_leave_scipy_optimize_unloaded(tmp_path):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "before"
+    assert lines[-1].split()[:2] == ["after", "scipy.optimize"]
+    assert elapsed < 3.0
 
 
 def test_embed_solves_every_theta_row(tmp_path, torus_off, capsys, solve_sizes):

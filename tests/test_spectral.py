@@ -143,12 +143,16 @@ def test_arpack_failure_is_nonconvergence(monkeypatch):
         eigs_smallest(lap, 8)
 
 
-def test_nan_laplacian_is_nonconvergence():
-    # NaN residuals must fail the residual check, not slip past "> tol"
-    lap = assemble(random_connected_graph(np.random.default_rng(5), 40))
-    lap.data[3] = np.nan
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [40, 200])   # the dense and shift-invert paths
+def test_nan_laplacian_is_nonconvergence(n, value, capfd):
+    # a non-finite entry fails as NonConvergenceError on both paths, before
+    # LAPACK or ARPACK can print to stderr or raise an error of their own
+    lap = assemble(random_connected_graph(np.random.default_rng(5), n))
+    lap.data[3] = value
     with pytest.raises(NonConvergenceError):
         eigs_smallest(lap, 6)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_orthonormal_columns():

@@ -131,5 +131,5 @@ def dump_embedding(emb: Embedding, path) -> None:
     """Text dump: K rows of n coordinates, 17 significant digits."""
     fmt = " ".join(["%.17g"] * emb.n) + "\n"
     with open(path, "w") as fh:
-        for row in emb.coords:
+        for row in emb.coords.tolist():
             fh.write(fmt % tuple(row))

@@ -125,20 +125,28 @@ def _format(path) -> str:
 
 def load_mesh(path) -> Mesh:
     """Read an OFF or ASCII-PLY triangle mesh; the extension of ``path``,
-    ".off" or ".ply", names the format."""
+    ".off" or ".ply", names the format. Each vertex and face block is converted
+    in one call, and a parse error still names its line (``MeshParseError.line``);
+    other elements' lines and trailing data after the last element are skipped."""
     header = {"off": _off_header, "ply": _ply_header}[_format(path)]
-    lines = _tokens(path)
-    elements, lineno = header(path, lines)
-    return _read_elements(path, lines, elements, lineno)
-
-
-def _tokens(path):
-    """Yield (line_number, tokens) for non-empty, non-comment lines."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+        # lines end as in iterating over the file; splitlines() also ends them at "\x0c"
+        lines = [line.partition("#")[0] for line in fh.read().split("\n")]
+    kept = iter([n for n, line in enumerate(lines, start=1) if line.strip()])
+    elements, lineno = header(path, ((n, lines[n - 1].split()) for n in kept))
+    nv = dict(elements)["vertex"]
+    for name, count in elements:
+        block = list(itertools.islice(kept, count))
+        if name == "vertex":
+            vertices = _vertices(path, lines, block)
+        elif name == "face":
+            faces = _faces(path, lines, block, nv)
+        lineno = block[-1] if block else lineno
+        if len(block) < count:
+            raise MeshParseError(
+                path, lineno, f"expected {count} {name} lines, got {len(block)}"
+            )
+    return Mesh(vertices=vertices, faces=faces)
 
 
 def _count(token: str) -> int:
@@ -193,48 +201,42 @@ def _ply_header(path, lines):
     return elements, lineno
 
 
-def _read_elements(path, lines, elements, lineno) -> Mesh:
-    """Parse the declared elements in order, skipping the lines of elements
-    other than vertex and face. ``lineno`` is the last header line."""
-    counts = dict(elements)
-    vertices = np.empty((counts["vertex"], 3))
-    faces = np.empty((counts["face"], 3), dtype=int)
-    for name, count in elements:
-        read = 0
-        for lineno, tok in itertools.islice(lines, count):
-            if name == "vertex":
-                vertices[read] = _vertex(path, lineno, tok)
-            elif name == "face":
-                faces[read] = _face(path, lineno, tok, len(vertices))
-            read += 1
-        if read < count:
-            raise MeshParseError(
-                path, lineno, f"expected {count} {name} lines, got {read}"
-            )
-    # trailing data after the declared elements is tolerated in the wild
-    return Mesh(vertices=vertices, faces=faces)
-
-
-def _vertex(path, lineno, tok) -> list[float]:
-    if len(tok) < 3:
-        raise MeshParseError(path, lineno, "vertex line needs 3 coordinates")
-    try:
-        return [float(x) for x in tok[:3]]
+def _vertices(path, lines, block) -> np.ndarray:
+    values = itertools.chain.from_iterable(lines[n - 1].split()[:3] for n in block)
+    try:  # too few values unless every line has 3 or more
+        return np.fromiter(map(float, values), float, 3 * len(block)).reshape(-1, 3)
     except ValueError:
-        raise MeshParseError(path, lineno, f"bad vertex line: {' '.join(tok)}")
+        for lineno in block:  # raise the error of the first bad line
+            tok = lines[lineno - 1].split()
+            if len(tok) < 3:
+                raise MeshParseError(path, lineno, "vertex line needs 3 coordinates")
+            try:
+                [float(x) for x in tok[:3]]
+            except ValueError:
+                raise MeshParseError(path, lineno, f"bad vertex line: {' '.join(tok)}")
+        raise
 
 
-def _face(path, lineno, tok, nv: int) -> list[int]:
-    try:
-        count = int(tok[0])
-        idx = [int(x) for x in tok[1:1 + count]]
-    except ValueError:
-        raise MeshParseError(path, lineno, f"bad face line: {' '.join(tok)}")
-    if count != 3 or len(idx) != 3:
-        raise MeshParseError(path, lineno, "only triangular faces are supported")
-    if max(idx) >= nv or min(idx) < 0:
-        raise MeshParseError(path, lineno, f"face index out of range: {idx}")
-    return idx
+def _faces(path, lines, block, nv: int) -> np.ndarray:
+    values = itertools.chain.from_iterable(lines[n - 1].split()[:4] for n in block)
+    try:  # a line that is not '3 i j k' with each index in [0, nv) fails too
+        f = np.fromiter(map(int, values), int, 4 * len(block)).reshape(-1, 4)
+        if (f[:, 0] != 3).any() or (f[:, 1:] < 0).any() or (f[:, 1:] >= nv).any():
+            raise ValueError
+    except (ValueError, OverflowError):
+        for lineno in block:  # raise the error of the first bad line
+            tok = lines[lineno - 1].split()
+            try:
+                count = int(tok[0])
+                idx = [int(x) for x in tok[1:1 + count]]
+            except ValueError:
+                raise MeshParseError(path, lineno, f"bad face line: {' '.join(tok)}")
+            if count != 3 or len(idx) != 3:
+                raise MeshParseError(path, lineno, "only triangular faces are supported")
+            if max(idx) >= nv or min(idx) < 0:
+                raise MeshParseError(path, lineno, f"face index out of range: {idx}")
+        raise
+    return f[:, 1:].copy()
 
 
 _HEADERS = {
@@ -253,10 +255,8 @@ def save_mesh(mesh: Mesh, path) -> None:
     header = _HEADERS[_format(path)]
     with open(path, "w") as fh:
         fh.write(header.format(nv=mesh.n_vertices, nf=mesh.n_faces))
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write("%.17g %.17g %.17g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()))
 
 
 def _edge_matrix(mesh: Mesh, weight=None) -> sparse.csr_matrix:

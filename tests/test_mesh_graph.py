@@ -96,9 +96,11 @@ def _lines(text, stop):
     pytest.param("off", _lines(TETRA_OFF, 9), 9, id="off-truncated-faces"),
     pytest.param("off", TETRA_OFF.replace("0.5 1 0", "0.5 x 0"), 5, id="off-bad-float"),
     pytest.param("off", TETRA_OFF.replace("0.5 1 0", "0.5 1"), 5, id="off-short-vertex"),
+    pytest.param("off", "OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n", 3, id="off-short-vertices"),
     pytest.param("off", TETRA_OFF.replace("3 0 2 3", "3 0 b 3"), 9, id="off-bad-face"),
     pytest.param("off", TETRA_OFF.replace("3 0 2 3", "4 0 2 3 1"), 9, id="off-quad"),
     pytest.param("off", TETRA_OFF.replace("3 0 2 3", "3 0 2 4"), 9, id="off-index-range"),
+    pytest.param("off", TETRA_OFF.replace("3 0 2 3", "3 1.0 2 0"), 9, id="off-float-index"),
     pytest.param("ply", "", 1, id="ply-empty"),
     pytest.param("ply", TETRA_OFF, 1, id="ply-missing-magic"),
     pytest.param("ply", TETRA_PLY.replace("ascii", "binary_little_endian"), 2,
@@ -126,6 +128,124 @@ def test_malformed_mesh_names_the_line(tmp_path, ext, text, line):
     with pytest.raises(MeshParseError) as exc:
         load_mesh(str(path))
     assert exc.value.line == line
+
+
+def _reference_load(path):
+    """(vertices, faces) of a well-formed mesh file, read one line at a time
+    with the grammar of ``load_mesh`` and none of its checks."""
+    with open(path) as fh:
+        lines = [tok for line in fh if (tok := line.split("#", 1)[0].split())]
+    if lines[0] == ["ply"]:
+        start = lines.index(["end_header"]) + 1
+        elements = [(tok[1], int(tok[2])) for tok in lines[:start] if tok[0] == "element"]
+    else:  # the counts follow "OFF" on its line or on the next, or stand alone
+        if lines[0][0] == "OFF":
+            lines[0] = lines[0][1:] or lines.pop(1)
+        start = 1
+        elements = [("vertex", int(lines[0][0])), ("face", int(lines[0][1]))]
+    rows = {}
+    for name, count in elements:
+        rows[name], start = lines[start:start + count], start + count
+    return (np.array([[float(x) for x in tok[:3]] for tok in rows["vertex"]]),
+            np.array([[int(x) for x in tok[1:4]] for tok in rows["face"]]))
+
+
+def _perturbed(mesh, ext) -> bytes:
+    """``mesh`` as a file that uses the freedoms of the grammar: comments at
+    line ends and on lines of their own, blank lines, CRLF endings, normals
+    after some vertices, colours after some faces, and "\x0c" and "\x1c"
+    between the tokens of a vertex line. The OFF file gives its counts on
+    the magic line; the PLY file has an element the reader skips and
+    declares its faces before its vertices."""
+    vertices = ["%.17g %.17g %.17g" % tuple(v) + " 0 0 1" * (i % 3 == 0)
+                for i, v in enumerate(mesh.vertices.tolist())]
+    vertices[5] = vertices[5].replace(" ", "\x0c", 1)
+    vertices[6] = vertices[6].replace(" ", " \x1c ", 1)
+    faces = ["3 %d %d %d" % tuple(f) + " 255 0 0" * (i % 4 == 0)
+             for i, f in enumerate(mesh.faces.tolist())]
+    nv, nf = mesh.n_vertices, mesh.n_faces
+    if ext == "off":
+        head, body = [f"OFF {nv} {nf} 0"], vertices + faces
+    else:
+        head = ["ply", "format ascii 1.0", "comment hand made", "element edge 2",
+                "property int vertex1", "property int vertex2", f"element face {nf}",
+                "property list uchar int vertex_indices", f"element vertex {nv}",
+                "property float x", "property float y", "property float z",
+                "end_header"]
+        body = ["0 1", "1 2"] + faces + vertices
+    lines = head[:1] + ["# a comment", ""] + head[1:]
+    for i, line in enumerate(body):
+        lines += [line + "  # note" * (i % 7 == 0)] + ["", "  # comment"] * (i % 50 == 0)
+    return "\r\n".join(lines + [""]).encode()
+
+
+@pytest.mark.parametrize("ext", ["off", "ply"])
+def test_load_matches_a_per_line_reader(tmp_path, ext):
+    # the 3,202-vertex mesh of the embed benchmark, as save_mesh writes it
+    # and with comments, blank lines, CRLF, extra values, reordered and
+    # skipped PLY elements and form feeds
+    mesh = bent_cylinder(32, 100)
+    plain = tmp_path / f"plain.{ext}"
+    save_mesh(mesh, str(plain))
+    perturbed = tmp_path / f"perturbed.{ext}"
+    perturbed.write_bytes(_perturbed(mesh, ext))
+    for path in (plain, perturbed):
+        loaded = load_mesh(str(path))
+        vertices, faces = _reference_load(path)
+        np.testing.assert_array_equal(loaded.vertices, vertices)
+        np.testing.assert_array_equal(loaded.faces, faces)
+        np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
+        np.testing.assert_array_equal(loaded.faces, mesh.faces)
+        assert loaded.faces.dtype == mesh.faces.dtype
+
+
+@pytest.mark.parametrize("block, bad, message", [
+    ("vertex", "x", "bad vertex line: x "),
+    ("face", "3202", r"face index out of range: \[.*, 3202\]"),
+])
+def test_error_on_a_last_line_names_it(tmp_path, block, bad, message):
+    # a bad value on the last line of a block fails the whole block, and the
+    # error names that line: 3204 is the last vertex line (after 2 header
+    # lines), 9604 the last face line
+    path = tmp_path / "big.off"
+    save_mesh(bent_cylinder(32, 100), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    line = {"vertex": 3204, "face": 9604}[block]
+    tok = lines[line - 1].split()
+    tok[0 if block == "vertex" else -1] = bad
+    lines[line - 1] = " ".join(tok) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshParseError, match=message) as exc:
+        load_mesh(str(path))
+    assert exc.value.line == line
+
+
+def test_numbers_are_read_as_float_and_int_read_them(tmp_path):
+    # underscores and non-ASCII decimal digits are accepted, as float() and
+    # int() accept them ("off-float-index" above pins a rejected token)
+    path = tmp_path / "t.off"
+    path.write_text(TETRA_OFF.replace("0.5 1 0", "0.5 1_0 \u0660")
+                    .replace("3 0 2 3", "3 0 \u0662 0_3"))
+    mesh = load_mesh(str(path))
+    assert mesh.vertices[2].tolist() == [0.5, 10.0, 0.0]
+    assert mesh.faces[2].tolist() == [0, 2, 3]
+
+
+@pytest.mark.parametrize("ext", ["off", "ply"])
+def test_save_mesh_matches_per_row_formatting(tmp_path, ext):
+    # one format call per block writes the bytes that formatting each row
+    # on its own writes, signed zeros, subnormals and round-trip digits
+    # included
+    v = np.array([[-0.0, 5e-324, 0.1], [1e300, -1 / 3, 2.0], [0.0, 1.0, 7e-17]])
+    mesh = Mesh(vertices=v, faces=np.array([[0, 1, 2], [2, 1, 0]]))
+    path = tmp_path / f"m.{ext}"
+    save_mesh(mesh, str(path))
+    text = path.read_text()
+    body = "".join(f"{a:.17g} {b:.17g} {c:.17g}\n" for a, b, c in v)
+    body += "".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.faces)
+    assert text.endswith(body)
+    assert text.count("\n") == {"off": 2, "ply": 9}[ext] + len(v) + len(mesh.faces)
+    np.testing.assert_array_equal(load_mesh(str(path)).vertices, v)
 
 
 def test_ply_cube_round_trip(tmp_path):

@@ -108,7 +108,7 @@ def align_embeddings(
         raise ValueError("eigenvector must have at least 2 components")
     scores, sign_table = _pair_scores(U, U_other, bins)
     K = scores.shape[0]
-    perm = hungarian(scores, sense="max")
+    perm = hungarian(scores)
     matched_scores = scores[np.arange(K), perm.mapping]
     signs = sign_table[np.arange(K), perm.mapping]
     kept = np.flatnonzero(matched_scores >= threshold)

@@ -1,9 +1,9 @@
-"""Small-scale spectral graph isomorphism: exact sign enumeration, the
-eigendecomposition matching heuristic, and eigenvalue-gap bounds."""
+"""Spectral graph isomorphism: an exact search for graphs with simple
+spectra, the eigendecomposition matching heuristic, and eigenvalue-gap
+bounds."""
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -12,7 +12,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .matutil import PermutationMatrix, frobenius_norm, hungarian
 
-EXACT_SIZE_LIMIT = 12
+# nodes the exact search may visit before it gives up
+SEARCH_NODES = 10_000
 # adjacent eigenvalues closer than this make a spectrum near-degenerate
 GAP_TOL = 1e-8
 
@@ -63,42 +64,62 @@ def _conjugation_residual(A_A, A_B, perm: PermutationMatrix) -> float:
     return frobenius_norm(A_A - A_B[np.ix_(p, p)])
 
 
-def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
-    """Exact isomorphism by enumerating the 2^n eigenvector sign choices.
+def _signs(U_A, U_B, perm: PermutationMatrix) -> np.ndarray:
+    """Per-eigenvector signs of U_A against the rows of U_B put in A's order."""
+    return np.where(np.einsum("ij,ij->j", U_A, perm.apply_to_rows(U_B)) < 0, -1.0, 1.0)
 
-    Each sign matrix S yields a candidate U_B S U_A^T; candidates whose
-    entries round to a valid permutation are verified against the
-    conjugation identity. Returns None when the spectra differ or no
-    sign choice produces a permutation.
+
+def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
+    """Exact isomorphism of two graphs with simple spectra, by candidate refinement.
+
+    An isomorphism P (A_A = P A_B P^T) gives U_A = P U_B S for one sign
+    vector s, so row i of U_A equals row p_i of U_B up to the signs. The
+    rows are unit vectors, so i can map to j only if
+    sum_fixed U_A[i,k] s_k U_B[j,k] + sum_free |U_A[i,k]| |U_B[j,k]| = 1,
+    where s_k is 0 ("free") until fixed; with nothing fixed this is
+    ``umeyama_match``'s score matrix. A depth-first search recomputes these
+    candidates at each node: a vertex without one ends the branch, candidates
+    that form a permutation are verified against the conjugation identity,
+    and otherwise the search branches on the vertex with the fewest (> 1)
+    candidates, each branch fixing the signs of every free eigenvector that
+    is nonzero there. A vertex has more than one candidate only while such an
+    eigenvector is free, so each branch fixes a sign and no path is longer
+    than n + 1 nodes. The search visits at most ``SEARCH_NODES`` nodes and raises ``NumericalError``
+    beyond them. For simple spectra the problem is polynomial (Babai,
+    Grigoryev & Mount, STOC 1982); generic weighted graphs take one node.
+
+    A degenerate spectrum raises ``NumericalError``: the eigenvectors, and so
+    the candidates, are not determined. Returns None when the spectra differ
+    or no candidate permutation verifies.
     """
     A_A, A_B = _symmetric_pair(A_A, A_B)
-    n = A_A.shape[0]
-    if n > EXACT_SIZE_LIMIT:
-        raise InputError(f"exact enumeration limited to n <= {EXACT_SIZE_LIMIT}")
-
     vals_a, U_A, _ = _checked_eigh(A_A, strict=True)
     vals_b, U_B, _ = _checked_eigh(A_B, strict=True)
-    scale = max(1.0, np.abs(vals_a).max())
-    if np.abs(vals_a - vals_b).max() > 1e-6 * scale:
+    if np.abs(vals_a - vals_b).max() > 1e-6 * max(1.0, np.abs(vals_a).max()):
         return None  # different spectra: no isomorphism possible
 
-    norm_a = frobenius_norm(A_A)
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        s = np.array(signs)
-        cand = (U_A * s) @ U_B.T
-        rounded = np.rint(cand)
-        if np.abs(cand - rounded).max() > 1e-6:
+    bound = 1e-8 * max(frobenius_norm(A_A), 1.0)
+    stack, nodes = [np.zeros(A_A.shape[0])], 0
+    while stack:
+        nodes += 1
+        if nodes > SEARCH_NODES:
+            raise NumericalError(f"exact isomorphism search exceeded {SEARCH_NODES} nodes")
+        s = stack.pop()
+        score = np.where(s != 0, U_A * s, np.abs(U_A)) @ np.where(s != 0, U_B, np.abs(U_B)).T
+        cand = score >= 1 - 1e-6
+        rows, cols = cand.sum(axis=1), cand.sum(axis=0)
+        if not (rows.all() and cols.all()):
+            continue  # a vertex of A or of B has no candidate
+        if (rows == 1).all():
+            perm = PermutationMatrix(np.argmax(cand, axis=1))
+            residual = _conjugation_residual(A_A, A_B, perm)
+            if residual <= bound:
+                return IsoResult(perm, _signs(U_A, U_B, perm), residual, exact=True)
             continue
-        if not np.all((rounded == 0.0) | (rounded == 1.0)):
-            continue
-        if not (np.all(rounded.sum(axis=0) == 1) and np.all(rounded.sum(axis=1) == 1)):
-            continue
-        perm = PermutationMatrix(np.argmax(rounded, axis=1))
-        residual = _conjugation_residual(A_A, A_B, perm)
-        if residual <= 1e-8 * max(norm_a, 1.0):
-            return IsoResult(
-                permutation=perm, signs=s, residual=residual, exact=True
-            )
+        i = np.argmin(np.where(rows > 1, rows, rows.max() + 1))
+        free = (s == 0) & (np.abs(U_A[i]) > 1e-8)
+        for j in np.flatnonzero(cand[i])[::-1]:  # the first candidate on top
+            stack.append(np.where(free, np.copysign(1.0, U_A[i] * U_B[j]), s))
     return None
 
 
@@ -123,10 +144,8 @@ def umeyama_match(A_A, A_B) -> IsoResult:
         )
 
     score = np.abs(U_A) @ np.abs(U_B).T
-    perm = hungarian(score, sense="max")
-    PU_B = perm.apply_to_rows(U_B)  # rows of U_B put in A's order
-    signs = np.sign(np.einsum("ij,ij->j", U_A, PU_B))
-    signs[signs == 0] = 1.0
+    perm = hungarian(score)
+    signs = _signs(U_A, U_B, perm)
 
     residual = _conjugation_residual(A_A, A_B, perm)
     exact = residual <= 1e-8 * max(frobenius_norm(A_A), 1.0)

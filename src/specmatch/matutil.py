@@ -45,11 +45,12 @@ def frobenius_norm(A) -> float:
     return float(np.sqrt(np.sum(A * A)))
 
 
-def hungarian(cost, sense: str = "min") -> PermutationMatrix:
-    """Optimal linear assignment on a square cost matrix.
+def hungarian(cost) -> PermutationMatrix:
+    """The assignment of largest total on a square matrix.
 
     Backed by scipy's modified Jonker-Volgenant solver, which is
-    deterministic for identical inputs.
+    deterministic for identical inputs. Every caller maximizes; a minimum-cost
+    assignment is ``hungarian(-cost)``.
     ``scipy.optimize`` is imported here: it takes 0.25 s that embed and synth need not pay.
     """
     cost = np.asarray(cost, dtype=float)
@@ -57,11 +58,9 @@ def hungarian(cost, sense: str = "min") -> PermutationMatrix:
         raise ValueError("cost must be square")
     if not np.isfinite(cost).all():
         raise ValueError("cost must be finite")
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     from scipy.optimize import linear_sum_assignment
 
-    _, cols = linear_sum_assignment(cost, maximize=(sense == "max"))
+    _, cols = linear_sum_assignment(cost, maximize=True)
     return PermutationMatrix(cols)
 
 
@@ -107,7 +106,7 @@ def birkhoff_decompose(X) -> list[tuple[float, PermutationMatrix]]:
     rows = np.arange(n)
     terms: list[tuple[float, PermutationMatrix]] = []
     while R.sum(axis=1).max() > TOL:
-        perm = hungarian(np.where(R > 0, R, -float(n)), sense="max")
+        perm = hungarian(np.where(R > 0, R, -float(n)))
         matched = R[rows, perm.mapping]
         if (matched <= 0).any():
             raise InputError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,9 @@ def load_mesh(path) -> Mesh:
     in one call, and a parse error still names its line (``MeshParseError.line``);
     other elements' lines and trailing data after the last element are skipped."""
     header = {"off": _off_header, "ply": _ply_header}[_format(path)]
-    with open(path) as fh:
+    # a byte that is not UTF-8 decodes to U+FFFD, which float() and int()
+    # reject and any stream can print; in a comment it is cut with the comment
+    with open(path, encoding="utf-8", errors="replace") as fh:
         # lines end as in iterating over the file; splitlines() also ends them at "\x0c"
         lines = [line.partition("#")[0] for line in fh.read().split("\n")]
     kept = iter([n for n, line in enumerate(lines, start=1) if line.strip()])
@@ -151,8 +154,8 @@ def load_mesh(path) -> Mesh:
 
 def _count(token: str) -> int:
     n = int(token)
-    if n < 0:
-        raise ValueError(f"negative count {n}")
+    if not 0 <= n <= sys.maxsize:  # no list holds more lines than sys.maxsize
+        raise ValueError(f"count {n} out of range")
     return n
 
 

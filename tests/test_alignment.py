@@ -168,7 +168,7 @@ def loop_alignment(U, V, threshold, bins):
             scores[k, l] = max(c_pos, c_neg)
             signs[k, l] = 1.0 if c_pos >= c_neg else -1.0
             margin[k, l] = c_pos - c_neg
-    perm = hungarian(scores, sense="max").mapping
+    perm = hungarian(scores).mapping
     rows = np.arange(K)
     matched = scores[rows, perm]
     return perm, signs[rows, perm], np.flatnonzero(matched >= threshold), matched, margin[rows, perm]

@@ -92,6 +92,8 @@ def _lines(text, stop):
     pytest.param("off", "OFF\n4\n", 2, id="off-short-counts"),
     pytest.param("off", TETRA_OFF.replace("4 4 0", "4 x 0"), 2, id="off-bad-count"),
     pytest.param("off", TETRA_OFF.replace("4 4 0", "-4 4 0"), 2, id="off-negative-count"),
+    # a count that no list can hold
+    pytest.param("off", "OFF\n99999999999999999999 1 0\n0 0 0\n", 2, id="off-oversized-count"),
     pytest.param("off", _lines(TETRA_OFF, 4), 4, id="off-truncated-vertices"),
     pytest.param("off", _lines(TETRA_OFF, 9), 9, id="off-truncated-faces"),
     pytest.param("off", TETRA_OFF.replace("0.5 1 0", "0.5 x 0"), 5, id="off-bad-float"),
@@ -111,6 +113,8 @@ def _lines(text, stop):
                  id="ply-bad-element"),
     pytest.param("ply", TETRA_PLY.replace("vertex 4", "vertex -4"), 3,
                  id="ply-negative-count"),
+    pytest.param("ply", TETRA_PLY.replace("vertex 4", "vertex 99999999999999999999"), 3,
+                 id="ply-oversized-count"),
     pytest.param("ply", TETRA_PLY.replace("property float y", "colour red"), 5,
                  id="ply-unexpected-header-line"),
     pytest.param("ply", _lines(TETRA_PLY, 8), 8, id="ply-missing-end-header"),
@@ -128,6 +132,20 @@ def test_malformed_mesh_names_the_line(tmp_path, ext, text, line):
     with pytest.raises(MeshParseError) as exc:
         load_mesh(str(path))
     assert exc.value.line == line
+
+
+def test_byte_that_is_not_utf8(tmp_path):
+    # whatever the locale: in a comment the byte is skipped with the comment,
+    # in a coordinate it fails that line
+    path = tmp_path / "cafe.off"
+    path.write_bytes(b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n# caf\xe9\n")
+    mesh = load_mesh(str(path))
+    np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+    path.write_bytes(b"OFF\n3 1 0\n0 0 0\n1\xe9 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(MeshParseError) as exc:
+        load_mesh(str(path))
+    assert exc.value.line == 4
 
 
 def _reference_load(path):

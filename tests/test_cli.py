@@ -305,8 +305,12 @@ def test_degenerate_spectrum_is_a_numerical_failure(tmp_path, capsys):
     err = _assert_one_line_failure(
         capsys, ["isolab", str(pa), str(pa), "--method", "exact"], EXIT_NUMERICAL)
     assert "eigenvalue gap" in err
+
+
+def test_thirteen_rows_fail_the_exact_method_on_their_spectrum(tmp_path, capsys):
     # one edge on 13 vertices, past the old enumeration's 12: the eigenvalue 0
     # eleven times, not the size, fails the exact method
+    pa = tmp_path / "a.txt"
     pa.write_text("0 12 1.0\n12 0 1.0\n")
     err = _assert_one_line_failure(
         capsys, ["isolab", str(pa), str(pa), "--method", "exact"], EXIT_NUMERICAL)

@@ -13,6 +13,8 @@ import json
 import sys
 import types
 
+import numpy as np
+
 from . import embedding as _embedding
 from . import em_registration as _em
 from . import evaluation as _evaluation
@@ -76,12 +78,9 @@ def cmd_embed(args) -> int:
     (spectrum,), selection = mesh_spectra((mesh,), config, all_pairs=True)
     emb = spectral_embedding(spectrum, selection["K"], config.embedding)
     _embedding.dump_embedding(emb, args.out)
-    nonnull = spectrum.eigenvalues[1:]
-    sys.stdout.write("K\ttheta_min\n")
-    for k in range(1, nonnull.size + 1):
-        sys.stdout.write(
-            f"{k}\t{_embedding.theta_min(nonnull, k, spectrum.n):.12f}\n"
-        )
+    theta = _embedding.theta_min(spectrum.eigenvalues[1:], spectrum.n)
+    np.savetxt(sys.stdout, np.column_stack([np.arange(1, theta.size + 1), theta]),
+               fmt=("%d", "%.12f"), delimiter="\t", header="K\ttheta_min", comments="")
     return 0
 
 
@@ -160,6 +159,7 @@ def cmd_isolab(args) -> int:
     sys.stdout.write(f"signs\t{result.signs.astype(int).tolist()}\n")
     sys.stdout.write(f"residual\t{result.residual:.17g}\n")
     sys.stdout.write(f"exact\t{result.exact}\n")
+    sys.stdout.write(f"degenerate\t{result.degenerate}\n")
     return 0
 
 

@@ -65,26 +65,24 @@ class DimensionSelection(NamedTuple):
     reached: bool
 
 
-def theta_min(eigenvalues, K: int, n: int) -> float:
-    """Lower bound on the captured-variance ratio from K leading pairs.
+def theta_min(eigenvalues, n: int) -> np.ndarray:
+    """Lower bounds on the captured-variance ratio from the K leading pairs,
+    for K = 1..len(eigenvalues).
 
-    ``eigenvalues`` are the ascending non-null values; the bound uses
+    ``eigenvalues`` are the ascending non-null values; the bound for K uses
     only the K smallest of them plus the vertex count n.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if K < 1 or K > lam.size:
-        raise ValueError(f"K={K} out of range for {lam.size} eigenvalues")
-    inv = 1.0 / lam
-    num = inv[:K].sum()
-    den = inv[:K - 1].sum() + (n - K) * inv[K - 1]
-    return float(num / den)
+    inv = 1.0 / np.asarray(eigenvalues, dtype=float)
+    head = np.cumsum(inv)
+    K = np.arange(1, inv.size + 1)
+    return head / (head - inv + (n - K) * inv)
 
 
-def theta_scree(eigenvalues, K: int) -> float:
-    """Exact captured-variance ratio; needs the full non-null spectrum."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    inv = 1.0 / lam
-    return float(inv[:K].sum() / inv.sum())
+def theta_scree(eigenvalues) -> np.ndarray:
+    """Exact captured-variance ratios for K = 1..len(eigenvalues); they are
+    exact only when ``eigenvalues`` is the full non-null spectrum."""
+    inv = 1.0 / np.asarray(eigenvalues, dtype=float)
+    return np.cumsum(inv) / inv.sum()
 
 
 def select_dimension(eigenvalues, n: int, theta_target: float) -> DimensionSelection:
@@ -98,12 +96,10 @@ def select_dimension(eigenvalues, n: int, theta_target: float) -> DimensionSelec
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0:
         raise ValueError("need at least one non-null eigenvalue")
-    for K in range(1, lam.size + 1):
-        t = theta_min(lam, K, n)
-        if t >= theta_target:
-            return DimensionSelection(K=K, theta_min=t, reached=True)
-    return DimensionSelection(K=lam.size, theta_min=theta_min(lam, lam.size, n),
-                              reached=False)
+    theta = theta_min(lam, n)
+    hits = np.flatnonzero(theta >= theta_target)
+    K = int(hits[0]) + 1 if hits.size else lam.size
+    return DimensionSelection(K=K, theta_min=float(theta[K - 1]), reached=bool(hits.size))
 
 
 def normalize_hypersphere(emb: Embedding) -> Embedding:

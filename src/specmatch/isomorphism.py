@@ -4,7 +4,6 @@ bounds."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +134,6 @@ def umeyama_match(A_A, A_B) -> IsoResult:
 
     _, U_A, deg_a = _checked_eigh(A_A, strict=False)
     _, U_B, deg_b = _checked_eigh(A_B, strict=False)
-    degenerate = deg_a or deg_b
-    if degenerate:
-        warnings.warn(
-            "near-degenerate spectrum: matching heuristic may be unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     score = np.abs(U_A) @ np.abs(U_B).T
     perm = hungarian(score)
@@ -154,7 +146,7 @@ def umeyama_match(A_A, A_B) -> IsoResult:
         signs=signs,
         residual=residual,
         exact=exact,
-        degenerate=degenerate,
+        degenerate=deg_a or deg_b,
     )
 
 

@@ -293,7 +293,12 @@ def build_graph(mesh: Mesh) -> Graph:
         # edge length to take a mean of)
         raise DisconnectedGraphError(mesh.n_vertices)
 
-    adj = _edge_matrix(mesh, weight)
+    # finite coordinates of 1e200 still square to inf
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            adj = _edge_matrix(mesh, weight)
+        except FloatingPointError as exc:
+            raise InputError(f"the edge lengths of the mesh overflow ({exc})") from None
     # a weight that underflowed to 0 joins nothing in the Laplacian
     adj.eliminate_zeros()
     graph = Graph(adjacency=adj)

@@ -230,13 +230,12 @@ def test_a8_theta_bounds(capsys):
         n = int(rng.integers(4, 60))
         graph = random_connected_graph(rng, n)
         lam = dense_eig(assemble(graph)).eigenvalues[1:]
-        for K in range(1, lam.size + 1):
-            lower = theta_min(lam, K, n)
-            exact = theta_scree(lam, K)
-            if not (lower <= exact + 1e-12 and exact <= 1.0 + 1e-12):
-                ok = False
-    anchor_low = theta_min(np.array([1.0, 3.0]), 1, 3)
-    anchor_exact = theta_scree(np.array([1.0, 3.0]), 1)
+        lower = theta_min(lam, n)
+        exact = theta_scree(lam)
+        if not ((lower <= exact + 1e-12).all() and (exact <= 1.0 + 1e-12).all()):
+            ok = False
+    anchor_low = theta_min(np.array([1.0, 3.0]), 3)[0]
+    anchor_exact = theta_scree(np.array([1.0, 3.0]))[0]
     anchors = abs(anchor_low - 0.5) < 1e-12 and abs(anchor_exact - 0.75) < 1e-12
     ok = ok and anchors
     announce(capsys, "A8", ok,

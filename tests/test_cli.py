@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from specmatch.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERICAL, main
+from specmatch.embedding import theta_min
 from specmatch.mesh_graph import load_mesh, save_mesh
+from specmatch.pipeline import PipelineConfig, mesh_spectra
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,16 @@ def test_isolab_exact(tmp_path, capsys):
     assert "exact\tTrue" in out
 
 
+def test_isolab_umeyama_reports_a_degenerate_spectrum(tmp_path, capsys):
+    # the 4-cycle's adjacency has the double eigenvalue 0
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("".join(f"{i} {(i + d) % 4} 1\n" for i in range(4) for d in (1, 3)))
+    assert main(["isolab", str(cycle), str(cycle), "--method", "umeyama"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "degenerate\tTrue" in captured.out.splitlines()
+
+
 def test_isolab_no_isomorphism(tmp_path, capsys):
     from specmatch.laplacian import dump_triplets
     from scipy import sparse
@@ -221,6 +233,11 @@ def test_embed_solves_every_theta_row(tmp_path, torus_off, capsys, solve_sizes):
     table = capsys.readouterr().out.splitlines()
     assert table[0] == "K\ttheta_min"
     assert [row.split("\t")[0] for row in table[1:]] == [str(k) for k in range(1, 51)]
+    # each row's value is the bound of theta_min over the same 50 eigenvalues
+    (spectrum,), _ = mesh_spectra((load_mesh(torus_off),), PipelineConfig(k=10),
+                                  all_pairs=True)
+    theta = theta_min(spectrum.eigenvalues[1:], spectrum.n)
+    assert [row.split("\t")[1] for row in table[1:]] == [f"{t:.12f}" for t in theta]
 
 
 def _assert_one_line_failure(capsys, argv, status):
@@ -242,13 +259,17 @@ def test_disconnected_mesh_is_an_input_failure(tmp_path, capsys):
 
 
 def test_zero_length_mesh_is_an_input_failure(tmp_path, capsys):
-    # three coincident vertices: the mean edge length, the Gaussian scale, is 0
-    off = tmp_path / "zero.off"
-    off.write_text("OFF\n3 1 0\n0 0 0\n0 0 0\n0 0 0\n3 0 1 2\n")
-    err = _assert_one_line_failure(
-        capsys, ["embed", str(off), "--out", str(tmp_path / "emb.txt")], EXIT_INPUT)
-    assert err == ("specmatch embed: stage 'mesh_graph': "
-                   "every edge of the mesh has length 0\n")
+    # three coincident vertices: the mean edge length, the Gaussian scale, is
+    # 0; at finite coordinates of 1e200 the squared edge lengths overflow
+    for name, coords, message in (
+            ("zero", "0 0 0\n0 0 0\n0 0 0", "every edge of the mesh has length 0"),
+            ("huge", "0 0 0\n1e200 0 0\n0 1e200 0",
+             "the edge lengths of the mesh overflow (overflow encountered in multiply)")):
+        off = tmp_path / f"{name}.off"
+        off.write_text(f"OFF\n3 1 0\n{coords}\n3 0 1 2\n")
+        err = _assert_one_line_failure(
+            capsys, ["embed", str(off), "--out", str(tmp_path / "emb.txt")], EXIT_INPUT)
+        assert err == f"specmatch embed: stage 'mesh_graph': {message}\n"
 
 
 def test_rounding_level_embedding_is_an_input_failure(tmp_path, capsys):

@@ -120,9 +120,9 @@ def test_ctd_is_a_metric():
 
 def test_theta_min_p3_anchor():
     lam = np.array([1.0, 3.0])
-    assert theta_min(lam, 1, 3) == pytest.approx(0.5)
-    assert theta_scree(lam, 1) == pytest.approx(0.75)
-    assert theta_min(lam, 1, 3) <= theta_scree(lam, 1) <= 1.0
+    assert theta_min(lam, 3)[0] == pytest.approx(0.5)
+    assert theta_scree(lam)[0] == pytest.approx(0.75)
+    assert theta_min(lam, 3)[0] <= theta_scree(lam)[0] <= 1.0
 
 
 def test_theta_bounds_random():
@@ -131,11 +131,11 @@ def test_theta_bounds_random():
         n = int(rng.integers(5, 50))
         graph = random_connected_graph(rng, n)
         lam = dense_eig(assemble(graph)).eigenvalues[1:]
-        for K in range(1, lam.size + 1):
-            lower = theta_min(lam, K, n)
-            exact = theta_scree(lam, K)
-            assert lower <= exact + 1e-12
-            assert exact <= 1.0 + 1e-12
+        lower = theta_min(lam, n)
+        exact = theta_scree(lam)
+        assert lower.shape == exact.shape == lam.shape
+        assert (lower <= exact + 1e-12).all()
+        assert (exact <= 1.0 + 1e-12).all()
 
 
 def test_select_dimension_quadratic_decay():
@@ -143,12 +143,12 @@ def test_select_dimension_quadratic_decay():
     lam = np.arange(1, n) ** 2.0
     target = 0.95
     sel = select_dimension(lam, n, target)
+    lower = theta_min(lam, n)
     assert sel.reached
-    assert theta_min(lam, sel.K, n) >= target
-    if sel.K > 1:
-        assert theta_min(lam, sel.K - 1, n) < target
+    assert sel.theta_min == lower[sel.K - 1] >= target
+    assert (lower[:sel.K - 1] < target).all()
     # the true scree ratio must clear the target as well
-    assert theta_scree(lam, sel.K) >= target
+    assert theta_scree(lam)[sel.K - 1] >= target
 
 
 def test_select_dimension_unreachable():
@@ -156,6 +156,7 @@ def test_select_dimension_unreachable():
     sel = select_dimension(lam, 100, 0.99)
     assert not sel.reached
     assert sel.K == 3
+    assert sel.theta_min == theta_min(lam, 100)[-1]
 
 
 def test_normalize_column():

@@ -214,9 +214,10 @@ def test_residual_matches_dense_conjugation_on_non_isomorphic_pair():
 
 
 def test_umeyama_degenerate_warns():
+    # the flag is the only report: no warning is raised, which the suite's
+    # filterwarnings = error would turn into a failure
     A = np.ones((4, 4)) - np.eye(4)
-    with pytest.warns(RuntimeWarning):
-        res = umeyama_match(A, A)
+    res = umeyama_match(A, A)
     assert res.degenerate
 
 

@@ -402,6 +402,14 @@ def test_underflowed_weights_rejected():
     assert exc.value.n_components == 2
 
 
+def test_overflowing_edge_lengths_rejected():
+    # finite coordinates whose squared edge lengths overflow to inf
+    mesh = Mesh(vertices=np.array([[0.0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]]),
+                faces=np.array([[0, 1, 2]]))
+    with pytest.raises(InputError, match="edge lengths of the mesh overflow"):
+        build_graph(mesh)
+
+
 def test_faceless_mesh_rejected():
     # no edges to weight: rejected before any weighting, without a warning
     mesh = Mesh(vertices=np.eye(3), faces=np.empty((0, 3), dtype=int))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specmatch.embedding import select_dimension
 from specmatch.errors import PipelineError
 from specmatch.evaluation import GroundTruth, registration_error, synth_transform
 from specmatch.pipeline import PipelineConfig, mesh_spectra, run_match
@@ -83,6 +84,21 @@ def test_theta_mode_reports_selection(torus_small):
     sel = result.report["k_selection"]
     assert sel["mode"] == "theta"
     assert sel["K"] >= 1
+
+
+def test_theta_mode_takes_the_larger_selection():
+    # two meshes whose own theta selections differ: the match runs at the
+    # larger K, and the report holds each mesh's own bound and flag
+    mesh_a, mesh_b = bumpy_torus(16, 10), bumpy_torus(12, 8)
+    config = PipelineConfig(theta=0.2)
+    (spec_a, spec_b), _ = mesh_spectra((mesh_a, mesh_b), config)
+    sel_a, sel_b = (select_dimension(spec.eigenvalues[1:], spec.n, config.theta)
+                    for spec in (spec_a, spec_b))
+    assert sel_a.K > sel_b.K
+    report = run_match(mesh_a, mesh_b, config).report["k_selection"]
+    assert report["K"] == sel_a.K
+    assert (report["theta_min_a"], report["reached_a"]) == (sel_a.theta_min, sel_a.reached)
+    assert (report["theta_min_b"], report["reached_b"]) == (sel_b.theta_min, sel_b.reached)
 
 
 def test_stage_error_wrapped():

@@ -43,13 +43,12 @@ def eigensignature(u, B: int = DEFAULT_BINS, limit: float | None = None) -> Eige
     return EigenSignature(bin_edges=edges, mass=mass)
 
 
-def _bin_edges(limit: float, B: int) -> np.ndarray:
-    """B+1 edges over [-limit, limit]; a limit <= 0 (an all-zero vector)
-    becomes 1."""
-    a = float(limit)
-    if a <= 0:
-        a = 1.0
-    return np.linspace(-a, a, B + 1)
+def _bin_edges(limit, B: int) -> np.ndarray:
+    """B+1 edges over [-a, a] for each limit a, along the last axis; a limit
+    <= 0 (an all-zero vector) becomes 1."""
+    a = np.asarray(limit, dtype=float)
+    a = np.where(a <= 0, 1.0, a)
+    return np.linspace(-a, a, B + 1, axis=-1)
 
 
 def histogram_similarity(H1: EigenSignature, H2: EigenSignature) -> float:
@@ -127,27 +126,26 @@ def align_embeddings(
 
 def _pair_scores(U: np.ndarray, U_other: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """K x K tables of the better orientation's score and its sign, equal to
-    what ``eigensignature`` and ``histogram_similarity`` give pair by pair."""
+    what ``eigensignature`` and ``histogram_similarity`` give pair by pair;
+    pair (k, l) is binned over its own limit max(m_k, m'_l)."""
     K = U.shape[1]
-    # A pair's shared limit max(m_k, m'_l) is one column's own largest
-    # component, so each column in turn builds the bins of the pairs it owns
-    # and counts them in one pass: u_k owns the l with m'_l <= m_k, and v_l
-    # the k with m_k < m'_l. Sorted rows only make the binning faster.
     su = np.sort(U, axis=0).T
     sv = np.sort(U_other, axis=0).T
-    sv_neg = -sv[:, ::-1]
     m_u = np.abs(U).max(axis=0)
     m_v = np.abs(U_other).max(axis=0)
-    # per pair: u.v, u.(-v), |u|^2, |v|^2, |-v|^2 of the centred counts
-    sums = np.zeros((5, K, K), dtype=np.int64)
+    # hu[k, l]: u_k over pair (k, l)'s bins
+    hu = np.empty((K, K, bins), dtype=np.int64)
     for k in range(K):
-        ls = np.flatnonzero(m_v <= m_u[k])
-        c = _centred_counts(m_u[k], bins, su[k:k + 1], sv[ls], sv_neg[ls])
-        _record(sums, k, ls, c[0], c[1:ls.size + 1], c[ls.size + 1:])
+        hu[k] = _centred_counts(su[k], _bin_edges(np.maximum(m_u[k], m_v), bins))
+    # per pair: u.v, u.(-v), |u|^2, |v|^2, |-v|^2 of the centred counts
+    sums = np.empty((5, K, K), dtype=np.int64)
     for l in range(K):
-        ks = np.flatnonzero(m_u < m_v[l])
-        c = _centred_counts(m_v[l], bins, su[ks], sv[l:l + 1], sv_neg[l:l + 1])
-        _record(sums, ks, l, c[:ks.size], c[ks.size], c[ks.size + 1])
+        edges = _bin_edges(np.maximum(m_u, m_v[l]), bins)
+        hp = _centred_counts(sv[l], edges)
+        hn = _centred_counts(-sv[l, ::-1], edges)
+        h = hu[:, l]
+        for table, (x, y) in zip(sums, ((h, hp), (h, hn), (h, h), (hp, hp), (hn, hn))):
+            table[:, l] = np.einsum("kb,kb->k", x, y)
 
     dot_pos, dot_neg, norm_u, norm_pos, norm_neg = sums
     c_pos = _pearson(dot_pos, norm_u, norm_pos)
@@ -158,31 +156,24 @@ def _pair_scores(U: np.ndarray, U_other: np.ndarray, bins: int) -> tuple[np.ndar
     return scores, sign_table
 
 
-def _record(sums, k, l, hu, hp, hn) -> None:
-    """Store the five sums of the pairs (k, l) from their centred counts."""
-    for table, (x, y) in zip(sums, ((hu, hp), (hu, hn), (hu, hu), (hp, hp), (hn, hn))):
-        table[k, l] = (x * y).sum(axis=-1)
-
-
-def _centred_counts(limit: float, bins: int, *blocks: np.ndarray) -> np.ndarray:
-    """``B*c - n`` for the histogram of each row of ``blocks``, over the bins
-    ``eigensignature`` builds for ``limit``; one row per histogram.
+def _centred_counts(sorted_x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``B*c - n`` for the histogram of ``sorted_x`` over each row of
+    ``edges``, as ``eigensignature`` builds them; one row per histogram.
 
     B*c - n is n*B times the mean-centred mass, so Pearson correlations
     computed from it equal those of ``histogram_similarity``. Every entry is
     at most B*n in magnitude, so a dot product or squared norm over B bins
-    stays below B*(B*n)^2, inside int64 (9.2e18) up to n ~ 3e6 at B = 100.
+    stays below B*(B*n)^2, inside int64 (9.2e18) up to n ~ 3e6 at B = 100;
+    int32 can overflow from n = 466 at B = 100.
     """
-    edges = _bin_edges(limit, bins)
-    sizes = np.concatenate([np.full(b.shape[0], b.shape[1]) for b in blocks])
     # np.histogram's rule for array bins: bin i holds edges[i] <= x <
-    # edges[i+1], and the last bin is closed. No x lies outside the edges.
-    idx = np.searchsorted(edges, np.concatenate([b.ravel() for b in blocks]),
-                          side="right") - 1
-    np.minimum(idx, bins - 1, out=idx)
-    idx += bins * np.repeat(np.arange(sizes.size), sizes)
-    counts = np.bincount(idx, minlength=bins * sizes.size).reshape(sizes.size, bins)
-    return bins * counts - sizes[:, None]
+    # edges[i+1], and the last bin is closed. No x lies outside the outer
+    # edges, so the counts are the differences of [0, #x below each inner
+    # edge, n].
+    n = sorted_x.size
+    below = np.searchsorted(sorted_x, edges[..., 1:-1])
+    counts = np.diff(below, prepend=0, append=n, axis=-1)
+    return (edges.shape[-1] - 1) * counts - n
 
 
 def _pearson(dot: np.ndarray, norm1: np.ndarray, norm2: np.ndarray) -> np.ndarray:

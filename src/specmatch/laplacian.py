@@ -27,8 +27,8 @@ def dump_triplets(matrix, path) -> None:
 
 def load_triplets(path) -> sparse.csr_matrix:
     """Read a `row col value` triplet file back into a square sparse matrix
-    just large enough for its largest index."""
-    rows, cols, vals = [], [], []
+    just large enough for its largest index. Each (row, col) is given once."""
+    rows, cols, vals, seen = [], [], [], set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.split()
@@ -42,6 +42,9 @@ def load_triplets(path) -> sparse.csr_matrix:
                 raise InputError(f"{path}:{lineno}: negative index in {line.strip()!r}")
             if not np.isfinite(val):
                 raise InputError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+            if (row, col) in seen:
+                raise InputError(f"{path}:{lineno}: repeated entry ({row}, {col})")
+            seen.add((row, col))
             rows.append(row)
             cols.append(col)
             vals.append(val)

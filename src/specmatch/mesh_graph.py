@@ -26,8 +26,12 @@ class Mesh:
     faces: np.ndarray     # (f, 3) int
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        f = np.asarray(self.faces, dtype=int).reshape(-1, 3)
+        v = np.asarray(self.vertices, dtype=float)
+        f = np.asarray(self.faces, dtype=int)
+        f = f.reshape(0, 3) if f.size == 0 else f
+        for name, a in (("vertices", v), ("faces", f)):
+            if a.ndim != 2 or a.shape[1] != 3:
+                raise InputError(f"mesh {name} must be an (n, 3) array, got shape {a.shape}")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         n = v.shape[0]

@@ -6,6 +6,7 @@ from specmatch.alignment import (
     align_embeddings,
     eigensignature,
     histogram_similarity,
+    _bin_edges,
     _centred_counts,
 )
 from specmatch.errors import InputError
@@ -218,10 +219,20 @@ def test_counts_on_edges_match_np_histogram(bins):
     rng = np.random.default_rng(22)
     u = rng.permutation(np.concatenate([edges, edges[1:-1:3]]))
     v = 0.5 * edges[rng.integers(0, bins + 1, size=77)]
-    c = _centred_counts(1.0, bins, u[None], np.vstack([v, -v]))
-    for row, x in zip(c, (u, v, -v)):
+    for x in (u, v, -v):
         counts, _ = np.histogram(x, bins=edges)
-        np.testing.assert_array_equal(row, bins * counts - x.size)
+        c = _centred_counts(np.sort(x), _bin_edges(1.0, bins))
+        np.testing.assert_array_equal(c, bins * counts - x.size)
+    # one sorted vector against several limits in one call, one of them its
+    # own maximum, which falls in the closed last bin
+    w = np.sort(v)
+    limits = np.array([1.5, w.max(), 0.75, 3.0])
+    edge_rows = _bin_edges(limits, bins)
+    c = _centred_counts(w, edge_rows)
+    for row, e in zip(c, edge_rows):
+        np.testing.assert_array_equal(e, np.linspace(-e[-1], e[-1], bins + 1))
+        counts, _ = np.histogram(w, bins=e)
+        np.testing.assert_array_equal(row, bins * counts - w.size)
 
 
 def test_align_matches_loop_with_edge_values_and_zero_column():
@@ -248,10 +259,20 @@ def test_exact_sign_tie_resolves_to_plus_one():
     x = rng.standard_normal(100)
     U = np.concatenate([x, -x])[:, None]
     V = rng.exponential(size=200)[:, None] - 0.5
-    c = _centred_counts(np.abs(V).max(), 20, U.T)
-    np.testing.assert_array_equal(c[0], c[0][::-1])
+    c = _centred_counts(np.sort(U[:, 0]), _bin_edges(np.abs(V).max(), 20))
+    np.testing.assert_array_equal(c, c[::-1])
     _, loop_signs, _, loop_scores, margin = loop_alignment(U, V, -1.0, 20)
     assert abs(margin[0]) < 1e-12
     res = align_embeddings(U, V, threshold=-1.0, bins=20)
     assert res.signs[0] == 1.0
     np.testing.assert_allclose(res.scores, loop_scores, rtol=0.0, atol=1e-12)
+
+
+def test_sums_do_not_overflow_int32():
+    # u_0 fills one bin, so its squared norm n^2*B*(B-1) ~ 9.9e9 exceeds
+    # 2^31; a sum taken in int32 would wrap and change the scores
+    rng = np.random.default_rng(24)
+    n = 1000
+    U = np.column_stack([np.full(n, 0.3), rng.standard_normal(n)])
+    V = np.column_stack([rng.standard_normal(n), np.full(n, -0.2) + 0.01 * rng.random(n)])
+    assert_matches_loop(U, V, threshold=-1.0, bins=100)

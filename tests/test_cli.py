@@ -394,6 +394,14 @@ def test_malformed_triplets_are_an_input_failure(tmp_path, capsys, bad_line):
     assert f"{pa}:2:" in err
 
 
+def test_repeated_triplet_is_an_input_failure(tmp_path, capsys):
+    # summed, the repeated lines would give the edge weight 2.0
+    pa = tmp_path / "dup.txt"
+    pa.write_text("0 1 1.0\n1 0 1.0\n0 1 1.0\n1 0 1.0\n")
+    err = _assert_one_line_failure(capsys, ["isolab", str(pa), str(pa)], EXIT_INPUT)
+    assert f"{pa}:3: repeated entry (0, 1)" in err
+
+
 @pytest.mark.parametrize("kind, param, message", [
     ("noise", "-1", "noise strength"),
     ("holes", "1.5", "hole fraction"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,23 @@ def test_degenerate_face_rejected():
 def test_bad_mesh_or_adjacency_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("vertices, faces, message", [
+    (np.arange(12.0).reshape(6, 2), np.array([[0, 1, 2]]),
+     "mesh vertices must be an (n, 3) array, got shape (6, 2)"),
+    (np.eye(4, 3), np.tile([0, 1, 2, 3], (3, 1)),
+     "mesh faces must be an (n, 3) array, got shape (3, 4)"),
+], ids=["2d-vertices", "quad-faces"])
+def test_mesh_arrays_must_have_three_columns(vertices, faces, message):
+    # neither is reshaped into (n, 3): not into 4 vertices, nor into 4 triangles
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Mesh(vertices=vertices, faces=faces)
+
+
+def test_mesh_without_faces_is_legal():
+    for faces in (np.zeros(0, dtype=int), np.zeros((0, 3), dtype=int)):
+        assert Mesh(vertices=np.eye(3), faces=faces).faces.shape == (0, 3)
 
 
 def test_face_index_out_of_range():

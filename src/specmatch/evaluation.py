@@ -163,8 +163,8 @@ def _relabel(mesh: Mesh, rng) -> tuple[Mesh, GroundTruth]:
 
 
 def _noise(mesh: Mesh, eps: float, rng) -> tuple[Mesh, GroundTruth]:
-    if eps < 0:
-        raise InputError("noise strength must be non-negative")
+    if not 0 <= eps < np.inf:
+        raise InputError("noise strength must be finite and non-negative")
     scale = eps * mesh.mean_edge_length() if mesh.n_faces else eps
     offset = rng.standard_normal(mesh.vertices.shape) * scale if eps > 0 else 0.0
     out = Mesh(vertices=mesh.vertices + offset, faces=mesh.faces.copy())
@@ -238,11 +238,9 @@ def _sampling(mesh: Mesh, ratio: float, rng):
         raise InputError("sampling ratio must be in (0, 1]")
     n = mesh.n_vertices
     target_remove = int(round((1.0 - ratio) * n))
-    faces = {tuple(int(x) for x in f) for f in mesh.faces}
-    face_sets = {frozenset(f) for f in faces}
-
+    # vertex -> the faces at it, the only record of the current faces
     incident: dict[int, set] = {i: set() for i in range(n)}
-    for f in faces:
+    for f in {tuple(int(x) for x in f) for f in mesh.faces}:
         for v in f:
             incident[v].add(f)
 
@@ -262,18 +260,14 @@ def _sampling(mesh: Mesh, ratio: float, rng):
         new_faces = [
             (anchor, ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)
         ]
-        if any(frozenset(f) in face_sets for f in new_faces):
-            continue
-        if len({frozenset(f) for f in new_faces}) != len(new_faces):
+        # every new face holds the anchor, and so does any face equal to one
+        new_sets = {frozenset(f) for f in new_faces}
+        if len(new_sets) != len(new_faces) or new_sets & {frozenset(f) for f in incident[anchor]}:
             continue
         for f in at_v:
-            faces.discard(f)
-            face_sets.discard(frozenset(f))
             for u in f:
                 incident[u].discard(f)
         for f in new_faces:
-            faces.add(f)
-            face_sets.add(frozenset(f))
             for u in f:
                 incident[u].add(f)
         removed.add(v)
@@ -281,7 +275,7 @@ def _sampling(mesh: Mesh, ratio: float, rng):
     kept = np.array(sorted(set(range(n)) - removed), dtype=int)
     remap = -np.ones(n, dtype=int)
     remap[kept] = np.arange(kept.size)
-    new_faces = remap[np.array(sorted(faces), dtype=int)]
+    new_faces = remap[np.array(sorted(set().union(*incident.values())), dtype=int)]
     out = Mesh(vertices=mesh.vertices[kept], faces=new_faces)
     if not _connected(out):
         raise InputError("decimation disconnected the mesh")
@@ -290,8 +284,8 @@ def _sampling(mesh: Mesh, ratio: float, rng):
 
 
 def _local_scale(mesh: Mesh, factor: float, rng):
-    if factor <= 0:
-        raise InputError("scale factor must be positive")
+    if not 0 < factor < np.inf:
+        raise InputError("scale factor must be finite and positive")
     n = mesh.n_vertices
     seed_vertex = int(rng.integers(n))
     dist = geodesic_distances(mesh, seed_vertex)

@@ -25,7 +25,7 @@ class IsoResult:
     signs: np.ndarray            # diagonal +-1 vector applied to eigenvectors
     residual: float              # ||A_A - P A_B P^T||_F
     exact: bool
-    degenerate: bool = False     # spectrum had near-equal adjacent eigenvalues
+    degenerate: bool             # a spectrum had near-equal adjacent eigenvalues
 
 
 def _symmetric_pair(A_A, A_B):
@@ -46,26 +46,21 @@ def _symmetric_pair(A_A, A_B):
     return A_A, A_B
 
 
-def _checked_eigh(A, strict: bool):
+def _eigh(A):
+    """Eigenpairs of A, ascending, and the smallest adjacent eigenvalue gap."""
     vals, vecs = np.linalg.eigh(A)
-    gaps = np.diff(vals)
-    degenerate = bool(gaps.size and gaps.min() <= GAP_TOL)
-    if degenerate and strict:
-        raise NumericalError(
-            f"adjacent eigenvalue gap {gaps.min():.3e} below {GAP_TOL:.3e}"
-        )
-    return vals, vecs, degenerate
+    return vals, vecs, np.diff(vals).min(initial=np.inf)
 
 
-def _conjugation_residual(A_A, A_B, perm: PermutationMatrix) -> float:
-    """||A_A - P A_B P^T||_F, where (P A_B P^T)[i, j] = A_B[p_i, p_j]."""
+def _verified(A_A, A_B, U_A, U_B, perm: PermutationMatrix, gap) -> IsoResult:
+    """The result of a candidate P: its residual ||A_A - P A_B P^T||_F, with
+    (P A_B P^T)[i, j] = A_B[p_i, p_j], is exact up to 1e-8 max(||A_A||_F, 1),
+    the signs compare U_A with P U_B, and ``gap`` is both spectra's least gap."""
     p = perm.mapping
-    return frobenius_norm(A_A - A_B[np.ix_(p, p)])
-
-
-def _signs(U_A, U_B, perm: PermutationMatrix) -> np.ndarray:
-    """Per-eigenvector signs of U_A against the rows of U_B put in A's order."""
-    return np.where(np.einsum("ij,ij->j", U_A, perm.apply_to_rows(U_B)) < 0, -1.0, 1.0)
+    residual = frobenius_norm(A_A - A_B[np.ix_(p, p)])
+    signs = np.where(np.einsum("ij,ij->j", U_A, U_B[p]) < 0, -1.0, 1.0)
+    exact = residual <= 1e-8 * max(frobenius_norm(A_A), 1.0)
+    return IsoResult(perm, signs, residual, exact, degenerate=bool(gap <= GAP_TOL))
 
 
 def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
@@ -92,12 +87,14 @@ def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
     or no candidate permutation verifies.
     """
     A_A, A_B = _symmetric_pair(A_A, A_B)
-    vals_a, U_A, _ = _checked_eigh(A_A, strict=True)
-    vals_b, U_B, _ = _checked_eigh(A_B, strict=True)
+    vals_a, U_A, gap_a = _eigh(A_A)
+    vals_b, U_B, gap_b = _eigh(A_B)
+    gap = min(gap_a, gap_b)
+    if gap <= GAP_TOL:
+        raise NumericalError(f"adjacent eigenvalue gap {gap:.3e} below {GAP_TOL:.3e}")
     if np.abs(vals_a - vals_b).max() > 1e-6 * max(1.0, np.abs(vals_a).max()):
         return None  # different spectra: no isomorphism possible
 
-    bound = 1e-8 * max(frobenius_norm(A_A), 1.0)
     stack, nodes = [np.zeros(A_A.shape[0])], 0
     while stack:
         nodes += 1
@@ -110,10 +107,9 @@ def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
         if not (rows.all() and cols.all()):
             continue  # a vertex of A or of B has no candidate
         if (rows == 1).all():
-            perm = PermutationMatrix(np.argmax(cand, axis=1))
-            residual = _conjugation_residual(A_A, A_B, perm)
-            if residual <= bound:
-                return IsoResult(perm, _signs(U_A, U_B, perm), residual, exact=True)
+            result = _verified(A_A, A_B, U_A, U_B, PermutationMatrix(np.argmax(cand, axis=1)), gap)
+            if result.exact:
+                return result
             continue
         i = np.argmin(np.where(rows > 1, rows, rows.max() + 1))
         free = (s == 0) & (np.abs(U_A[i]) > 1e-8)
@@ -131,23 +127,10 @@ def umeyama_match(A_A, A_B) -> IsoResult:
     signs. Near-degenerate spectra are flagged but still processed.
     """
     A_A, A_B = _symmetric_pair(A_A, A_B)
-
-    _, U_A, deg_a = _checked_eigh(A_A, strict=False)
-    _, U_B, deg_b = _checked_eigh(A_B, strict=False)
-
-    score = np.abs(U_A) @ np.abs(U_B).T
-    perm = hungarian(score)
-    signs = _signs(U_A, U_B, perm)
-
-    residual = _conjugation_residual(A_A, A_B, perm)
-    exact = residual <= 1e-8 * max(frobenius_norm(A_A), 1.0)
-    return IsoResult(
-        permutation=perm,
-        signs=signs,
-        residual=residual,
-        exact=exact,
-        degenerate=deg_a or deg_b,
-    )
+    _, U_A, gap_a = _eigh(A_A)
+    _, U_B, gap_b = _eigh(A_B)
+    perm = hungarian(np.abs(U_A) @ np.abs(U_B).T)
+    return _verified(A_A, A_B, U_A, U_B, perm, min(gap_a, gap_b))
 
 
 def hoffman_wielandt_gap(A_A, A_B) -> tuple[float, float]:
@@ -158,8 +141,8 @@ def hoffman_wielandt_gap(A_A, A_B) -> tuple[float, float]:
     orthogonal conjugation.
     """
     A_A, A_B = _symmetric_pair(A_A, A_B)
-    alpha = np.sort(np.linalg.eigvalsh(A_A))
-    beta = np.sort(np.linalg.eigvalsh(A_B))
+    # eigvalsh returns ascending eigenvalues: the sorted pairing
+    alpha, beta = np.linalg.eigvalsh(A_A), np.linalg.eigvalsh(A_B)
     lower = float(np.sum((alpha - beta) ** 2))
     dist = float(frobenius_norm(A_A - A_B) ** 2)
     return lower, dist

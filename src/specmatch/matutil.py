@@ -34,10 +34,6 @@ class PermutationMatrix:
         mat[np.arange(self.n), self.mapping] = 1.0
         return mat
 
-    def apply_to_rows(self, A: np.ndarray) -> np.ndarray:
-        """Return P @ A, i.e. row i of the result is row mapping[i] of A."""
-        return np.asarray(A)[self.mapping]
-
 
 def frobenius_norm(A) -> float:
     """sqrt of the sum of squared entries."""

@@ -404,9 +404,13 @@ def test_repeated_triplet_is_an_input_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, param, message", [
     ("noise", "-1", "noise strength"),
+    ("noise", "nan", "noise strength"),
+    ("noise", "inf", "noise strength"),
     ("holes", "1.5", "hole fraction"),
     ("sampling", "0", "sampling ratio"),
     ("local_scale", "0", "scale factor"),
+    ("local_scale", "nan", "scale factor"),
+    ("local_scale", "inf", "scale factor"),
     ("isometry_relabel", "7", "takes no parameter"),
 ])
 def test_out_of_range_synth_parameter_is_an_input_failure(tmp_path, torus_off, capsys,

@@ -228,6 +228,14 @@ def test_sampling_decimates(torus_small):
         np.testing.assert_allclose(out.vertices[j], torus_small.vertices[i])
     kept = sorted(gt.pairs.values())
     assert len(set(kept)) == len(kept)
+    # the retriangulated torus stays a closed surface: no two faces share a
+    # vertex set, every edge lies in exactly two faces, and V - E + F = 0
+    faces = np.sort(out.faces, axis=1)
+    assert len(np.unique(faces, axis=0)) == len(faces)
+    edges, counts = np.unique(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]]),
+                              axis=0, return_counts=True)
+    assert (counts == 2).all()
+    assert out.n_vertices - len(edges) + len(faces) == 0
 
 
 def test_sampling_ratio_validation(torus_small):

@@ -92,6 +92,11 @@ def test_exact_beyond_twelve_rows(monkeypatch):
     assert_isomorphism(res, A, B)
     # generic weights leave no automorphism, so the planted map is the only one
     np.testing.assert_array_equal(res.permutation.mapping, perm.mapping)
+    # the heuristic finds the same map, and both verify it the same way
+    heuristic = umeyama_match(A, B)
+    np.testing.assert_array_equal(heuristic.permutation.mapping, res.permutation.mapping)
+    np.testing.assert_array_equal(heuristic.signs, res.signs)
+    assert (heuristic.residual, heuristic.exact) == (res.residual, res.exact)
 
 
 @pytest.mark.parametrize("n", [12, 200])

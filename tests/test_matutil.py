@@ -85,13 +85,6 @@ def test_permutation_matrix_properties():
         PermutationMatrix(np.array([0, 0, 1]))
 
 
-def test_apply_to_rows_is_left_multiplication():
-    rng = np.random.default_rng(4)
-    perm = PermutationMatrix(np.array([1, 2, 0]))
-    A = rng.standard_normal((3, 5))
-    np.testing.assert_allclose(perm.apply_to_rows(A), perm.to_matrix() @ A)
-
-
 def test_predicates_identity():
     assert is_doubly_stochastic(np.eye(2))
 

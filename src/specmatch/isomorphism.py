@@ -4,6 +4,8 @@ bounds."""
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,23 @@ SEARCH_NODES = 10_000
 GAP_TOL = 1e-8
 
 
+def _blas_pinned_with_spare_cpu() -> bool:
+    """Whether the environment pins BLAS to one thread (at least one of its
+    thread-count variables is set, and each one set is "1") and the process
+    may run on two or more CPUs (counted where the platform reports them)."""
+    counts = [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS") if v in os.environ]
+    return (bool(counts) and all(c == "1" for c in counts)
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+# decompose the second matrix of a pair on a thread of its own. np.linalg's
+# eigh and eigvalsh release the GIL, so with one BLAS thread the two
+# decompositions overlap on two CPUs; with BLAS's own threads they would
+# compete for the CPUs, and were slower than one after the other
+SECOND_THREAD = _blas_pinned_with_spare_cpu()
+
+
 @dataclass(frozen=True)
 class IsoResult:
     """Outcome of a spectral matching attempt between two adjacency matrices."""
@@ -28,28 +47,57 @@ class IsoResult:
     degenerate: bool             # a spectrum had near-equal adjacent eigenvalues
 
 
-def _symmetric_pair(A_A, A_B):
-    """Both inputs as float arrays, checked to be symmetric and square of
-    one size: the eigensolver reads only one triangle of a matrix, so a
-    non-symmetric input would be matched as a different graph."""
+def _spectrum(A, name: str, vectors: bool):
+    """The checks of one input matrix, then its ascending eigenvalues, its
+    eigenvectors (None unless ``vectors``) and its smallest adjacent gap.
+
+    The eigensolver reads only one triangle of a matrix, so a non-symmetric
+    input would be matched as a different graph.
+    """
+    if A.size == 0:
+        raise InputError(f"the {name} matrix is empty")
+    if not np.isfinite(A).all():
+        raise InputError(f"the {name} matrix has a non-finite entry")
+    # the cheap exact comparison settles the usual, exactly symmetric
+    # input; asymmetry at rounding level (Q A Q^T) is accepted
+    if not np.array_equal(A, A.T) and (
+            np.abs(A - A.T).max() > 1e-12 * max(np.abs(A).max(), 1.0)):
+        raise InputError(f"the {name} matrix is not symmetric")
+    vals, vecs = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+    return vals, vecs, np.diff(vals).min(initial=np.inf)
+
+
+def _spectra(A_A, A_B, vectors: bool = True):
+    """(A_A, A_B, spectrum of A_A, spectrum of A_B): both inputs as float
+    arrays, square of one size, each with ``_spectrum``'s results.
+
+    With ``SECOND_THREAD``, A_B's work runs on a thread started and joined
+    here, and an error of A_A's, found in this thread, takes precedence.
+    """
     A_A = np.asarray(A_A, dtype=float)
     A_B = np.asarray(A_B, dtype=float)
     n = A_A.shape[0]
     if A_A.shape != A_B.shape or A_A.shape != (n, n):
         raise InputError("inputs must be square matrices of equal size")
-    for name, A in (("first", A_A), ("second", A_B)):
-        # the cheap exact comparison settles the usual, exactly symmetric
-        # input; asymmetry at rounding level (Q A Q^T) is accepted
-        if not np.array_equal(A, A.T) and (
-                np.abs(A - A.T).max() > 1e-12 * max(np.abs(A).max(), 1.0)):
-            raise InputError(f"the {name} matrix is not symmetric")
-    return A_A, A_B
+    if not SECOND_THREAD:
+        return A_A, A_B, _spectrum(A_A, "first", vectors), _spectrum(A_B, "second", vectors)
+    second = {}
 
+    def work():
+        try:
+            second["result"] = _spectrum(A_B, "second", vectors)
+        except BaseException as exc:  # raised again in the caller's thread
+            second["error"] = exc
 
-def _eigh(A):
-    """Eigenpairs of A, ascending, and the smallest adjacent eigenvalue gap."""
-    vals, vecs = np.linalg.eigh(A)
-    return vals, vecs, np.diff(vals).min(initial=np.inf)
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        first = _spectrum(A_A, "first", vectors)
+    finally:
+        worker.join()
+    if "error" in second:
+        raise second["error"]
+    return A_A, A_B, first, second["result"]
 
 
 def _verified(A_A, A_B, U_A, U_B, perm: PermutationMatrix, gap) -> IsoResult:
@@ -86,9 +134,7 @@ def exact_spectral_isomorphism(A_A, A_B) -> IsoResult | None:
     the candidates, are not determined. Returns None when the spectra differ
     or no candidate permutation verifies.
     """
-    A_A, A_B = _symmetric_pair(A_A, A_B)
-    vals_a, U_A, gap_a = _eigh(A_A)
-    vals_b, U_B, gap_b = _eigh(A_B)
+    A_A, A_B, (vals_a, U_A, gap_a), (vals_b, U_B, gap_b) = _spectra(A_A, A_B)
     gap = min(gap_a, gap_b)
     if gap <= GAP_TOL:
         raise NumericalError(f"adjacent eigenvalue gap {gap:.3e} below {GAP_TOL:.3e}")
@@ -126,9 +172,7 @@ def umeyama_match(A_A, A_B) -> IsoResult:
     permutations with the assignment solver, then recovers per-column
     signs. Near-degenerate spectra are flagged but still processed.
     """
-    A_A, A_B = _symmetric_pair(A_A, A_B)
-    _, U_A, gap_a = _eigh(A_A)
-    _, U_B, gap_b = _eigh(A_B)
+    A_A, A_B, (_, U_A, gap_a), (_, U_B, gap_b) = _spectra(A_A, A_B)
     perm = hungarian(np.abs(U_A) @ np.abs(U_B).T)
     return _verified(A_A, A_B, U_A, U_B, perm, min(gap_a, gap_b))
 
@@ -140,9 +184,8 @@ def hoffman_wielandt_gap(A_A, A_B) -> tuple[float, float]:
     measures how far the two matrices are from being aligned by an
     orthogonal conjugation.
     """
-    A_A, A_B = _symmetric_pair(A_A, A_B)
     # eigvalsh returns ascending eigenvalues: the sorted pairing
-    alpha, beta = np.linalg.eigvalsh(A_A), np.linalg.eigvalsh(A_B)
+    A_A, A_B, (alpha, _, _), (beta, _, _) = _spectra(A_A, A_B, vectors=False)
     lower = float(np.sum((alpha - beta) ** 2))
     dist = float(frobenius_norm(A_A - A_B) ** 2)
     return lower, dist

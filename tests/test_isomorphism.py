@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,13 @@ from specmatch.isomorphism import (
     umeyama_match,
 )
 from specmatch.matutil import PermutationMatrix, frobenius_norm
+
+
+@pytest.fixture(params=[False, True], ids=["one-thread", "two-threads"])
+def second_thread(request, monkeypatch):
+    """Run a test with the second matrix of each pair decomposed in the
+    caller's thread and on a thread of its own."""
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", request.param)
 
 
 def random_weighted_adjacency(rng, n):
@@ -289,8 +299,10 @@ def test_umeyama_trace_bound():
         assert score[np.arange(n), perm.mapping].sum() <= n + 1e-10
 
 
-@pytest.mark.parametrize("fn", [exact_spectral_isomorphism, umeyama_match,
-                                hoffman_wielandt_gap])
+ALL_METHODS = [exact_spectral_isomorphism, umeyama_match, hoffman_wielandt_gap]
+
+
+@pytest.mark.parametrize("fn", ALL_METHODS)
 def test_non_symmetric_matrix_rejected(fn):
     # a directed path: the eigensolver would read only its lower triangle
     A = np.diag([1.0, 1.0], 1)
@@ -298,3 +310,169 @@ def test_non_symmetric_matrix_rejected(fn):
         fn(A, A.T)
     with pytest.raises(InputError, match="second matrix is not symmetric"):
         fn(A + A.T, A)
+
+
+@pytest.mark.parametrize("fn", ALL_METHODS)
+def test_first_matrix_error_wins_on_two_threads(fn, monkeypatch):
+    # with the second matrix checked on the worker thread, a pair of two
+    # non-symmetric matrices still raises the first matrix's error
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    test_non_symmetric_matrix_rejected(fn)
+
+
+@pytest.mark.parametrize("fn", ALL_METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(fn, bad, second_thread):
+    # a NaN made the exact search report no isomorphism, the heuristic fail
+    # inside the assignment solver and the bound return (nan, nan)
+    A = np.array([[0.0, bad], [bad, 0.0]])
+    ok = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InputError, match="first matrix has a non-finite entry"):
+        fn(A, np.diag([1.0], 1))  # the first matrix's checks come first
+    with pytest.raises(InputError, match="second matrix has a non-finite entry"):
+        fn(ok, A)
+
+
+@pytest.mark.parametrize("fn", ALL_METHODS)
+def test_empty_matrices_rejected(fn, second_thread):
+    with pytest.raises(InputError, match="first matrix is empty"):
+        fn(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def _one_and_two_threads(monkeypatch, fn, *args):
+    """fn(*args) with the second matrix decomposed in the caller's thread,
+    then on a thread of its own."""
+    results = []
+    for second in (False, True):
+        monkeypatch.setattr(isomorphism, "SECOND_THREAD", second)
+        results.append(fn(*args))
+    return results
+
+
+def assert_same_result(one, two):
+    # bitwise: the two threads run the same LAPACK calls on the same arrays
+    if one is None or two is None:
+        assert one is None and two is None
+        return
+    np.testing.assert_array_equal(one.permutation.mapping, two.permutation.mapping)
+    np.testing.assert_array_equal(one.signs, two.signs)
+    assert one.residual == two.residual
+    assert (one.exact, one.degenerate) == (two.exact, two.degenerate)
+
+
+@pytest.mark.parametrize("fn", [exact_spectral_isomorphism, umeyama_match])
+def test_second_thread_gives_equal_results(fn, monkeypatch):
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        A = random_weighted_adjacency(rng, 12)
+        B, _ = scramble(A, rng)
+        assert_same_result(*_one_and_two_threads(monkeypatch, fn, A, B))
+    # a non-isomorphic pair: None from the exact search, a residual > 0 from
+    # the heuristic
+    A, B = random_weighted_adjacency(rng, 12), random_weighted_adjacency(rng, 12)
+    assert_same_result(*_one_and_two_threads(monkeypatch, fn, A, B))
+
+
+def test_second_thread_gives_equal_results_at_n500(monkeypatch):
+    rng = np.random.default_rng(15)
+    A = random_weighted_adjacency(rng, 500)
+    B, _ = scramble(A, rng)
+    assert_same_result(*_one_and_two_threads(monkeypatch, umeyama_match, A, B))
+
+
+def test_second_thread_on_a_degenerate_spectrum(monkeypatch):
+    # the 4-cycle has the double eigenvalue 0: flagged by the heuristic,
+    # refused by the exact search with one message on either path
+    A = np.roll(np.eye(4), 1, axis=1)
+    A = A + A.T
+    one, two = _one_and_two_threads(monkeypatch, umeyama_match, A, A[::-1, ::-1])
+    assert one.degenerate
+    assert_same_result(one, two)
+    messages = []
+    for second in (False, True):
+        monkeypatch.setattr(isomorphism, "SECOND_THREAD", second)
+        with pytest.raises(NumericalError) as err:
+            exact_spectral_isomorphism(A, A)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_second_thread_gives_equal_bounds(monkeypatch):
+    # the pairs of the A2 acceptance suite: random symmetric pairs and
+    # orthogonal conjugates
+    rng = np.random.default_rng(1)
+    for trial in range(100):
+        n = int(rng.integers(2, 11))
+        A = rng.standard_normal((n, n))
+        A = (A + A.T) / 2.0
+        if trial % 2 == 0:
+            B = rng.standard_normal((n, n))
+            B = (B + B.T) / 2.0
+        else:
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            B = Q @ A @ Q.T
+        one, two = _one_and_two_threads(monkeypatch, hoffman_wielandt_gap, A, B)
+        assert one == two
+
+
+@pytest.mark.parametrize("fn", ALL_METHODS)
+def test_worker_error_reaches_the_caller(fn, monkeypatch):
+    # an error on the worker thread is raised again in the caller, with its
+    # own type and message
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    spectrum = isomorphism._spectrum
+
+    def failing(A, name, vectors):
+        if name == "second":
+            raise ZeroDivisionError("raised for the second matrix")
+        return spectrum(A, name, vectors)
+
+    monkeypatch.setattr(isomorphism, "_spectrum", failing)
+    A = random_weighted_adjacency(np.random.default_rng(16), 6)
+    with pytest.raises(ZeroDivisionError, match="raised for the second matrix"):
+        fn(A, A)
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    rng = np.random.default_rng(17)
+    A = random_weighted_adjacency(rng, 12)
+    B, _ = scramble(A, rng)
+    before = threading.active_count()
+    for fn in [exact_spectral_isomorphism, umeyama_match] * 10:
+        fn(A, B)
+    with pytest.raises(InputError):
+        umeyama_match(A, np.diag(np.ones(11), 1))
+    assert threading.active_count() == before
+
+
+def test_no_thread_without_the_rule(monkeypatch):
+    # when BLAS may run threads of its own, the decompositions stay sequential
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", False)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    A = random_weighted_adjacency(np.random.default_rng(18), 6)
+    for fn in ALL_METHODS:
+        fn(A, A)
+    assert started == []
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({}, 2, False),                                   # BLAS picks its own count
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "1"}, 4, True),
+    (dict.fromkeys(BLAS_VARIABLES, "1"), 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, False),
+    ({"MKL_NUM_THREADS": "4"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),        # no CPU to spare
+])
+def test_second_thread_rule(env, cpus, expected, monkeypatch):
+    for name in BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert isomorphism._blas_pinned_with_spare_cpu() is expected

@@ -23,6 +23,7 @@ from . import laplacian as _laplacian
 from . import mesh_graph as _mesh_graph
 from .errors import InputError, NumericalError, PipelineError, SpecmatchError
 from .pipeline import PipelineConfig, mesh_spectra, run_match, spectral_embedding
+from .textfile import write_text
 
 
 EXIT_INPUT = 3       # the input was rejected: a malformed mesh, matrix or table
@@ -57,8 +58,7 @@ def _write_json(data, path) -> None:
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        write_text(path, (text + "\n",))
 
 
 def cmd_match(args) -> int:
@@ -125,10 +125,8 @@ def cmd_eval(args) -> int:
         args.out,
     )
     if args.per_vertex_csv:
-        with open(args.per_vertex_csv, "w") as fh:
-            fh.write("vertex,error_percent\n")
-            for j in sorted(report.per_vertex):
-                fh.write(f"{j},{report.per_vertex[j]:.17g}\n")
+        write_text(args.per_vertex_csv, ["vertex,error_percent\n", *(
+            f"{j},{report.per_vertex[j]:.17g}\n" for j in sorted(report.per_vertex))])
     return 0
 
 
@@ -139,9 +137,7 @@ def cmd_synth(args) -> int:
         param = _evaluation.strength_param(args.kind, args.level)
     out_mesh, gt = _evaluation.synth_transform(mesh, args.kind, param, args.seed)
     _mesh_graph.save_mesh(out_mesh, args.out_mesh)
-    with open(args.out_gt, "w") as fh:
-        for j in sorted(gt.pairs):
-            fh.write(f"{j}\t{gt.pairs[j]}\n")
+    write_text(args.out_gt, (f"{j}\t{gt.pairs[j]}\n" for j in sorted(gt.pairs)))
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
+from .textfile import write_text
 
 SIGMA_FLOOR = 1e-12
 # squared distances below this share of max |y|^2 + max |R x|^2 are
@@ -235,10 +236,6 @@ def write_correspondence_tsv(corr: Correspondence, path) -> None:
     """`j<TAB>i<TAB>posterior` per accepted match; unmatched rows use i = -1."""
     post = corr.posterior
     matched = dict(corr.map_matches)
-    with open(path, "w") as fh:
-        for j in range(post.shape[0]):
-            if j in matched:
-                i = matched[j]
-                fh.write(f"{j}\t{i}\t{post[j, i]:.17g}\n")
-            else:
-                fh.write(f"{j}\t-1\t{post[j, -1]:.17g}\n")
+    # an unmatched row's -1 also indexes its posterior: the outlier column
+    targets = [matched.get(j, -1) for j in range(post.shape[0])]
+    write_text(path, (f"{j}\t{i}\t{post[j, i]:.17g}\n" for j, i in enumerate(targets)))

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import InputError
 from .spectral import RESIDUAL_SHARE, Spectrum
+from .textfile import write_text
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,4 @@ def embedding_stats(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
 def dump_embedding(emb: Embedding, path) -> None:
     """Text dump: K rows of n coordinates, 17 significant digits."""
     fmt = " ".join(["%.17g"] * emb.n) + "\n"
-    with open(path, "w") as fh:
-        for row in emb.coords.tolist():
-            fh.write(fmt % tuple(row))
+    write_text(path, (fmt % tuple(row) for row in emb.coords.tolist()))

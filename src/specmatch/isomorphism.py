@@ -34,6 +34,9 @@ def _blas_pinned_with_spare_cpu() -> bool:
 # decompositions overlap on two CPUs; with BLAS's own threads they would
 # compete for the CPUs, and were slower than one after the other
 SECOND_THREAD = _blas_pinned_with_spare_cpu()
+# the least n at which the second thread is started: below it, starting the
+# thread cost more than the overlap saved (2-core host, one BLAS thread)
+SECOND_THREAD_MIN_N = 200
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,16 @@ def _spectra(A_A, A_B, vectors: bool = True):
     """(A_A, A_B, spectrum of A_A, spectrum of A_B): both inputs as float
     arrays, square of one size, each with ``_spectrum``'s results.
 
-    With ``SECOND_THREAD``, A_B's work runs on a thread started and joined
-    here, and an error of A_A's, found in this thread, takes precedence.
+    With ``SECOND_THREAD`` and n >= ``SECOND_THREAD_MIN_N``, A_B's work runs
+    on a thread started and joined here, and an error of A_A's, found in
+    this thread, takes precedence.
     """
     A_A = np.asarray(A_A, dtype=float)
     A_B = np.asarray(A_B, dtype=float)
     n = A_A.shape[0]
     if A_A.shape != A_B.shape or A_A.shape != (n, n):
         raise InputError("inputs must be square matrices of equal size")
-    if not SECOND_THREAD:
+    if not SECOND_THREAD or n < SECOND_THREAD_MIN_N:
         return A_A, A_B, _spectrum(A_A, "first", vectors), _spectrum(A_B, "second", vectors)
     second = {}
 

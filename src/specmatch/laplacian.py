@@ -1,4 +1,4 @@
-"""The combinatorial graph Laplacian D - W, and sparse matrices as text triplets."""
+"""The combinatorial graph Laplacian D - W, and sparse matrices read from text triplets."""
 
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ def assemble(graph: Graph) -> sparse.csr_matrix:
     if graph.n_components != 1:
         raise DisconnectedGraphError(graph.n_components)
     return sparse.csr_matrix(sparse.diags(graph.degrees) - graph.adjacency)
-
-
-def dump_triplets(matrix, path) -> None:
-    """Write a sparse matrix as `row col value` lines, 17 significant digits."""
-    coo = sparse.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
 
 
 def load_triplets(path) -> sparse.csr_matrix:

@@ -12,6 +12,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import DisconnectedGraphError, InputError, MeshParseError
+from .textfile import write_text
 
 
 @dataclass(frozen=True)
@@ -260,10 +261,11 @@ def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh as OFF or ASCII PLY, as the extension of ``path`` names
     (round-trips with :func:`load_mesh`)."""
     header = _HEADERS[_format(path)]
-    with open(path, "w") as fh:
-        fh.write(header.format(nv=mesh.n_vertices, nf=mesh.n_faces))
-        fh.write("%.17g %.17g %.17g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
-        fh.write("3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()))
+    write_text(path, (
+        header.format(nv=mesh.n_vertices, nf=mesh.n_faces),
+        "%.17g %.17g %.17g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()),
+        "3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()),
+    ))
 
 
 def _edge_matrix(mesh: Mesh, weight=None) -> sparse.csr_matrix:

@@ -30,6 +30,16 @@ def random_connected_graph(rng: np.random.Generator, n: int,
     return Graph.from_adjacency(sparse.csr_matrix(A))
 
 
+def dump_triplets(matrix, path) -> None:
+    """Write a sparse matrix as `row col value` lines, 17 significant
+    digits, in row-major order: the format of ``laplacian.load_triplets``."""
+    coo = sparse.coo_matrix(matrix)
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w") as fh:
+        for k in order:
+            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
+
+
 def tetrahedron_mesh() -> Mesh:
     vertices = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.5, 1.0]]

@@ -12,6 +12,8 @@ from specmatch.embedding import theta_min
 from specmatch.mesh_graph import load_mesh, save_mesh
 from specmatch.pipeline import PipelineConfig, mesh_spectra
 
+from conftest import dump_triplets
+
 
 @pytest.fixture(scope="module")
 def torus_off(tmp_path_factory):
@@ -148,7 +150,6 @@ def test_invalid_config_values_are_usage_errors(tmp_path, torus_off, argv, capsy
 
 
 def test_isolab_exact(tmp_path, capsys):
-    from specmatch.laplacian import dump_triplets
     from scipy import sparse
 
     rng = np.random.default_rng(0)
@@ -177,7 +178,6 @@ def test_isolab_umeyama_reports_a_degenerate_spectrum(tmp_path, capsys):
 
 
 def test_isolab_no_isomorphism(tmp_path, capsys):
-    from specmatch.laplacian import dump_triplets
     from scipy import sparse
 
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -193,15 +193,13 @@ def test_isolab_no_isomorphism(tmp_path, capsys):
 IMPORT_SET_SCRIPT = """
 import os, sys
 import numpy as np
-from scipy import sparse
 import specmatch, specmatch.cli
-from specmatch.laplacian import dump_triplets
 
 LAZY = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft")
 os.chdir(sys.argv[1])
 specmatch.save_mesh(specmatch.bumpy_torus(24, 16), "torus.off")
-A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
-dump_triplets(sparse.csr_matrix(A), "a.txt")
+with open("a.txt", "w") as fh:
+    fh.write("0 1 1\\n1 0 1\\n1 2 2\\n2 1 2\\n")
 for argv in (["embed", "torus.off", "--k", "8", "--out", "emb.txt"],
              ["synth", "torus.off", "--kind", "noise", "--param", "0.01",
               "--out-mesh", "noisy.off", "--out-gt", "gt.tsv"],
@@ -305,6 +303,58 @@ def test_missing_file_is_an_io_failure(tmp_path, capsys):
     assert "missing.off" in err
 
 
+def test_unwritable_output_is_an_io_failure(tmp_path, torus_off, capsys):
+    out = str(tmp_path / "missing_dir" / "x.txt")
+    err = _assert_one_line_failure(capsys, ["embed", torus_off, "--out", out], EXIT_IO)
+    assert out in err
+
+
+# each command's arguments and output files; {d} is the output directory.
+# match reads the relabelled copy and eval the match of it
+REWRITE_COMMANDS = {
+    "synth": (["synth", "{mesh}", "--kind", "isometry_relabel", "--seed", "3",
+               "--out-mesh", "{d}/relabel.off", "--out-gt", "{d}/gt.tsv"],
+              ["relabel.off", "gt.tsv"]),
+    "match": (["match", "{mesh}", "{inputs}/relabel.off", "--k", "8",
+               "--out-corr", "{d}/corr.tsv", "--out-report", "{d}/report.json"],
+              ["corr.tsv", "report.json"]),
+    "eval": (["eval", "{mesh}", "{inputs}/corr.tsv", "{inputs}/gt.tsv",
+              "--out", "{d}/eval.json", "--per-vertex-csv", "{d}/per_vertex.csv"],
+             ["eval.json", "per_vertex.csv"]),
+    "embed": (["embed", "{mesh}", "--k", "8", "--out", "{d}/emb.txt"], ["emb.txt"]),
+}
+
+
+@pytest.fixture(scope="module")
+def rewrite_inputs(tmp_path_factory, torus_off):
+    inputs = tmp_path_factory.mktemp("rewrite_inputs")
+    for command in ("synth", "match"):
+        argv, _ = REWRITE_COMMANDS[command]
+        assert main([a.format(mesh=torus_off, inputs=inputs, d=inputs) for a in argv]) == 0
+    return inputs
+
+
+@pytest.mark.parametrize("command", list(REWRITE_COMMANDS))
+def test_outputs_rewritten_over_old_files_are_byte_identical(
+        tmp_path, torus_off, rewrite_inputs, command):
+    # the outputs written over a longer and a shorter file equal those
+    # written to new paths, byte for byte
+    argv, outputs = REWRITE_COMMANDS[command]
+    written = {}
+    for case in ("new", "longer", "shorter"):
+        d = tmp_path / case
+        d.mkdir()
+        for name in outputs:
+            if case == "longer":
+                (d / name).write_bytes(written["new"][name] + b"old tail\n" * 5000)
+            elif case == "shorter":
+                (d / name).write_bytes(written["new"][name][:10])
+        assert main([a.format(mesh=torus_off, inputs=rewrite_inputs, d=d) for a in argv]) == 0
+        written[case] = {name: (d / name).read_bytes() for name in outputs}
+    assert written["longer"] == written["new"]
+    assert written["shorter"] == written["new"]
+
+
 def test_ground_truth_without_overlap_is_an_input_failure(tmp_path, torus_off, capsys):
     corr = tmp_path / "corr.tsv"
     corr.write_text("0\t0\t1.0\n1\t1\t1.0\n")
@@ -316,7 +366,6 @@ def test_ground_truth_without_overlap_is_an_input_failure(tmp_path, torus_off, c
 
 
 def test_degenerate_spectrum_is_a_numerical_failure(tmp_path, capsys):
-    from specmatch.laplacian import dump_triplets
     from scipy import sparse
 
     # the complete graph K4 has the eigenvalue -1 three times

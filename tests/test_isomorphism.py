@@ -15,11 +15,18 @@ from specmatch.isomorphism import (
 from specmatch.matutil import PermutationMatrix, frobenius_norm
 
 
+def use_second_thread(monkeypatch, second: bool) -> None:
+    """Decompose the second matrix of each pair on a thread of its own, at
+    every size (the size cut lowered to 0), or in the caller's thread."""
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", second)
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD_MIN_N", 0)
+
+
 @pytest.fixture(params=[False, True], ids=["one-thread", "two-threads"])
 def second_thread(request, monkeypatch):
     """Run a test with the second matrix of each pair decomposed in the
     caller's thread and on a thread of its own."""
-    monkeypatch.setattr(isomorphism, "SECOND_THREAD", request.param)
+    use_second_thread(monkeypatch, request.param)
 
 
 def random_weighted_adjacency(rng, n):
@@ -316,7 +323,7 @@ def test_non_symmetric_matrix_rejected(fn):
 def test_first_matrix_error_wins_on_two_threads(fn, monkeypatch):
     # with the second matrix checked on the worker thread, a pair of two
     # non-symmetric matrices still raises the first matrix's error
-    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    use_second_thread(monkeypatch, True)
     test_non_symmetric_matrix_rejected(fn)
 
 
@@ -344,7 +351,7 @@ def _one_and_two_threads(monkeypatch, fn, *args):
     then on a thread of its own."""
     results = []
     for second in (False, True):
-        monkeypatch.setattr(isomorphism, "SECOND_THREAD", second)
+        use_second_thread(monkeypatch, second)
         results.append(fn(*args))
     return results
 
@@ -390,7 +397,7 @@ def test_second_thread_on_a_degenerate_spectrum(monkeypatch):
     assert_same_result(one, two)
     messages = []
     for second in (False, True):
-        monkeypatch.setattr(isomorphism, "SECOND_THREAD", second)
+        use_second_thread(monkeypatch, second)
         with pytest.raises(NumericalError) as err:
             exact_spectral_isomorphism(A, A)
         messages.append(str(err.value))
@@ -419,7 +426,7 @@ def test_second_thread_gives_equal_bounds(monkeypatch):
 def test_worker_error_reaches_the_caller(fn, monkeypatch):
     # an error on the worker thread is raised again in the caller, with its
     # own type and message
-    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    use_second_thread(monkeypatch, True)
     spectrum = isomorphism._spectrum
 
     def failing(A, name, vectors):
@@ -434,7 +441,7 @@ def test_worker_error_reaches_the_caller(fn, monkeypatch):
 
 
 def test_no_thread_outlives_a_call(monkeypatch):
-    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    use_second_thread(monkeypatch, True)
     rng = np.random.default_rng(17)
     A = random_weighted_adjacency(rng, 12)
     B, _ = scramble(A, rng)
@@ -455,6 +462,34 @@ def test_no_thread_without_the_rule(monkeypatch):
     for fn in ALL_METHODS:
         fn(A, A)
     assert started == []
+
+
+def test_no_thread_below_the_size_cut(monkeypatch):
+    # a pair smaller than SECOND_THREAD_MIN_N stays in the caller's thread,
+    # where the thread's start-up cost more than the overlap saved; a pair
+    # at the cut starts one thread per call. isolab's 500-vertex pairs are
+    # above the cut
+    assert isomorphism.SECOND_THREAD_MIN_N <= 500
+    monkeypatch.setattr(isomorphism, "SECOND_THREAD", True)
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    rng = np.random.default_rng(19)
+    cut = isomorphism.SECOND_THREAD_MIN_N
+    for n in (2, 12, cut - 1):
+        A = random_weighted_adjacency(rng, n)
+        for fn in ALL_METHODS:
+            fn(A, A)
+    assert started == []
+    A = random_weighted_adjacency(rng, cut)
+    for fn in ALL_METHODS:
+        fn(A, A)
+    assert len(started) == len(ALL_METHODS)
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -3,10 +3,10 @@ import pytest
 
 from specmatch import evaluation, laplacian, mesh_graph
 from specmatch.errors import DisconnectedGraphError, InputError
-from specmatch.laplacian import assemble, dump_triplets, load_triplets
+from specmatch.laplacian import assemble, load_triplets
 from specmatch.mesh_graph import Graph, build_graph
 
-from conftest import random_connected_graph
+from conftest import dump_triplets, random_connected_graph
 
 P3_COMBINATORIAL = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
 

@@ -89,7 +89,7 @@ def _read_pairs_tsv(path) -> dict:
     Each source vertex j is non-negative and given once; a target i is a
     vertex or -1, which means unmatched."""
     pairs = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:

@@ -5,7 +5,7 @@ bounds."""
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +75,8 @@ def _spectra(A_A, A_B, vectors: bool = True):
     arrays, square of one size, each with ``_spectrum``'s results.
 
     With ``SECOND_THREAD`` and n >= ``SECOND_THREAD_MIN_N``, A_B's work runs
-    on a thread started and joined here, and an error of A_A's, found in
-    this thread, takes precedence.
+    as a future on a one-thread pool that lives for this call, and an error
+    of A_A's, found in the caller's thread, takes precedence.
     """
     A_A = np.asarray(A_A, dtype=float)
     A_B = np.asarray(A_B, dtype=float)
@@ -85,23 +85,12 @@ def _spectra(A_A, A_B, vectors: bool = True):
         raise InputError("inputs must be square matrices of equal size")
     if not SECOND_THREAD or n < SECOND_THREAD_MIN_N:
         return A_A, A_B, _spectrum(A_A, "first", vectors), _spectrum(A_B, "second", vectors)
-    second = {}
-
-    def work():
-        try:
-            second["result"] = _spectrum(A_B, "second", vectors)
-        except BaseException as exc:  # raised again in the caller's thread
-            second["error"] = exc
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
+    # leaving the block joins the worker, so no thread outlives a call and
+    # an error of A_A's is raised before result() raises one of A_B's
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_spectrum, A_B, "second", vectors)
         first = _spectrum(A_A, "first", vectors)
-    finally:
-        worker.join()
-    if "error" in second:
-        raise second["error"]
-    return A_A, A_B, first, second["result"]
+    return A_A, A_B, first, second.result()
 
 
 def _verified(A_A, A_B, U_A, U_B, perm: PermutationMatrix, gap) -> IsoResult:

@@ -20,7 +20,7 @@ def load_triplets(path) -> sparse.csr_matrix:
     """Read a `row col value` triplet file back into a square sparse matrix
     just large enough for its largest index. Each (row, col) is given once."""
     rows, cols, vals, seen = [], [], [], set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
@@ -42,4 +42,12 @@ def load_triplets(path) -> sparse.csr_matrix:
     if not rows:
         raise InputError(f"{path}: no 'row col value' triplets")
     size = max(max(rows), max(cols)) + 1
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    # CSR keeps an 8-byte pointer per row: past an address space's bytes
+    # numpy raises a ValueError or an OverflowError, short of it a MemoryError
+    too_large = InputError(f"{path}: index {size - 1} asks for a matrix too large to hold")
+    if 8 * (size + 1) > np.iinfo(np.intp).max:
+        raise too_large
+    try:
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    except MemoryError:
+        raise too_large from None

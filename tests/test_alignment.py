@@ -8,6 +8,7 @@ from specmatch.alignment import (
     histogram_similarity,
     _bin_edges,
     _centred_counts,
+    _pearson,
 )
 from specmatch.errors import InputError
 from specmatch.matutil import hungarian
@@ -276,3 +277,22 @@ def test_sums_do_not_overflow_int32():
     U = np.column_stack([np.full(n, 0.3), rng.standard_normal(n)])
     V = np.column_stack([rng.standard_normal(n), np.full(n, -0.2) + 0.01 * rng.random(n)])
     assert_matches_loop(U, V, threshold=-1.0, bins=100)
+
+
+def test_flat_histograms_score_one_together_and_zero_against_others():
+    # u puts one value in each of 4 bins, so its centred mass has zero norm
+    # and no Pearson correlation; -u's histogram is not flat. Two flat
+    # histograms have equal masses and score 1, a flat one against any
+    # other 0, pair by pair and in the batched scores alike
+    u = np.array([-1.0, -0.5, 0.0, 0.5])
+    flat, other = eigensignature(u, B=4), eigensignature(-u, B=4)
+    np.testing.assert_array_equal(flat.mass, 0.25)
+    assert histogram_similarity(flat, flat) == 1.0
+    assert histogram_similarity(flat, other) == histogram_similarity(other, flat) == 0.0
+    edges = _bin_edges(1.0, 4)
+    h_flat, h_other = (_centred_counts(np.sort(x), edges) for x in (u, -u))
+    for x, y, want in ((h_flat, h_flat, 1.0), (h_flat, h_other, 0.0),
+                       (h_other, h_flat, 0.0)):
+        assert _pearson(np.array([x @ y]), np.array([x @ x]), np.array([y @ y])) == [want]
+    res = assert_matches_loop(u[:, None], -u[:, None], threshold=-1.0, bins=4)
+    assert (res.scores[0], res.signs[0]) == (1.0, -1.0)

@@ -451,6 +451,38 @@ def test_repeated_triplet_is_an_input_failure(tmp_path, capsys):
     assert f"{pa}:3: repeated entry (0, 1)" in err
 
 
+def test_triplet_byte_that_is_not_utf8_is_an_input_failure(tmp_path, capsys):
+    bad, ok = tmp_path / "bad.txt", tmp_path / "ok.txt"
+    bad.write_bytes(b"0 1 1\n1 0 1\xe9\n")
+    ok.write_text("0 1 1\n1 0 1\n")
+    err = _assert_one_line_failure(capsys, ["isolab", str(bad), str(ok)], EXIT_INPUT)
+    assert f"{bad}:2: expected 'row col value'" in err
+
+
+@pytest.mark.parametrize("bad", ["corr", "gt"])
+def test_pair_byte_that_is_not_utf8_is_an_input_failure(tmp_path, torus_off, capsys, bad):
+    paths = {"corr": tmp_path / "corr.tsv", "gt": tmp_path / "gt.tsv"}
+    paths["corr"].write_text("0\t0\t1.0\n1\t1\t1.0\n")
+    paths["gt"].write_text("0\t0\n1\t1\n")
+    paths[bad].write_bytes(paths[bad].read_bytes().replace(b"1\t1", b"1\t1\xe9"))
+    err = _assert_one_line_failure(
+        capsys, ["eval", torus_off, str(paths["corr"]), str(paths["gt"])], EXIT_INPUT)
+    assert f"{paths[bad]}:2: expected 'j i'" in err
+
+
+@pytest.mark.parametrize("index", [
+    10**15,      # a 7.1 PiB row-pointer array: more than memory holds
+    2**62,       # more bytes than numpy can address
+    2**63 - 1,   # the row count overflows int64
+])
+def test_huge_triplet_index_is_an_input_failure(tmp_path, capsys, index):
+    big, ok = tmp_path / "big.txt", tmp_path / "ok.txt"
+    big.write_text(f"0 {index} 1\n{index} 0 1\n")
+    ok.write_text("0 1 1\n1 0 1\n")
+    err = _assert_one_line_failure(capsys, ["isolab", str(big), str(ok)], EXIT_INPUT)
+    assert f"{big}: index {index} " in err
+
+
 @pytest.mark.parametrize("kind, param, message", [
     ("noise", "-1", "noise strength"),
     ("noise", "nan", "noise strength"),

@@ -159,6 +159,15 @@ def test_m_step_degenerate_flag():
     assert degenerate
 
 
+def test_m_step_rejects_a_posterior_without_inlier_mass():
+    # every point an outlier: with no inlier mass the variance would be 0/0
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((2, 5))
+    data = rng.standard_normal((2, 4))
+    with pytest.raises(ValueError, match="posterior carries no inlier mass"):
+        m_step(X, data, np.zeros((4, 5)))
+
+
 def test_initial_sigma_nearest_center(monkeypatch):
     # EM starts from the mean squared distance to the nearest center (1.0
     # here), and its first likelihood is the e-step's at that variance

@@ -4,6 +4,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
+from specmatch import spectral
 from specmatch.errors import DisconnectedGraphError, NonConvergenceError, NumericalError
 from specmatch.evaluation import synth_transform
 from specmatch.laplacian import assemble
@@ -153,6 +154,19 @@ def test_nan_laplacian_is_nonconvergence(n, value, capfd):
     with pytest.raises(NonConvergenceError):
         eigs_smallest(lap, 6)
     assert capfd.readouterr() == ("", "")
+
+
+def test_residual_check_rejects_an_inaccurate_spectrum(monkeypatch):
+    # the last check that every returned spectrum passes. Shrunk to 1e-30 of
+    # ||L||_1, the tolerance is below what shift-invert Lanczos reaches; on
+    # the dense path the negative-eigenvalue test, which reads the same
+    # tolerance, would fail first
+    monkeypatch.setattr(spectral, "RESIDUAL_SHARE", 1e-30)
+    lap = assemble(random_connected_graph(np.random.default_rng(10), 200))
+    with pytest.raises(NonConvergenceError) as exc:
+        eigs_smallest(lap, 8)
+    assert exc.value.tol == 1e-30 * splinalg.norm(lap, 1)
+    assert len(exc.value.residuals) == 9 and max(exc.value.residuals) > exc.value.tol
 
 
 def test_orthonormal_columns():

@@ -75,10 +75,9 @@ def cmd_embed(args) -> int:
     config = _config_from(args)
     mesh = _mesh_graph.load_mesh(args.mesh)
     # the theta table below has a row for each of the k_cap non-null pairs
-    (spectrum,), selection = mesh_spectra((mesh,), config, all_pairs=True)
+    (spectrum,), selection, (theta,) = mesh_spectra((mesh,), config, all_pairs=True)
     emb = spectral_embedding(spectrum, selection["K"], config.embedding)
     _embedding.dump_embedding(emb, args.out)
-    theta = _embedding.theta_min(spectrum.eigenvalues[1:], spectrum.n)
     np.savetxt(sys.stdout, np.column_stack([np.arange(1, theta.size + 1), theta]),
                fmt=("%d", "%.12f"), delimiter="\t", header="K\ttheta_min", comments="")
     return 0
@@ -141,9 +140,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _dense_triplets(path) -> np.ndarray:
+    """The triplet file's matrix as the dense array the isomorphism module takes."""
+    matrix = _laplacian.load_triplets(path)
+    try:
+        return matrix.toarray()
+    except MemoryError:
+        n = matrix.shape[0]
+        raise InputError(f"{path}: a dense {n} x {n} matrix is too large to hold") from None
+
+
 def cmd_isolab(args) -> int:
-    A = _laplacian.load_triplets(args.matrix_a).toarray()
-    B = _laplacian.load_triplets(args.matrix_b).toarray()
+    A = _dense_triplets(args.matrix_a)
+    B = _dense_triplets(args.matrix_b)
     if args.method == "exact":
         result = _isomorphism.exact_spectral_isomorphism(A, B)
         if result is None:

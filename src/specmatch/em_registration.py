@@ -10,6 +10,7 @@ orthogonal update until the likelihood stalls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,12 @@ MAP_THRESHOLD = 0.5
 TOL = 1e-6
 # EM stops after this many iterations whether or not it has converged
 MAX_ITER = 100
+# EM visits the data points in row blocks whose distance matrix holds at most
+# this many entries (8 MB); a block has at least one row
+BLOCK_ENTRIES = 1 << 20
+# np.exp returns 0.0 below about -745.13; e_step writes that 0.0 itself
+# for exponents below this, sparing exp's slow path on underflow
+EXP_ZERO = -746.0
 # prior of the uniform outlier class over the unit ball; each of the n
 # clusters has prior (1 - PI_OUT) / n
 PI_OUT = 0.01
@@ -65,14 +72,30 @@ def _sq_distances(X: np.ndarray, X_data: np.ndarray, R: np.ndarray) -> np.ndarra
     return D2
 
 
-def e_step(D2: np.ndarray, sigma: float, K: int) -> tuple[np.ndarray, float]:
-    """Row-stochastic m x (n+1) posterior (the last column is the outlier
-    class) and the observed-data log-likelihood, from the m x n squared
-    distances ``D2`` of ``_sq_distances`` in K dimensions at variance sigma.
+class EStep(NamedTuple):
+    """One block's e-step. Row j's posterior is ``weights[j] / denom[j]``
+    over the n clusters and ``outlier[j] / denom[j]`` for the outlier class."""
 
-    Rows are computed with a max-shift before exponentiation, so very
-    small variances do not underflow. A row's log-likelihood is its shift
-    plus the log of its normalizer plus log pi_in - K/2 log(2 pi sigma).
+    weights: np.ndarray      # m x n unnormalised inlier weights, in D2's buffer
+    row_sums: np.ndarray     # sum of each row of weights
+    outlier: np.ndarray      # the outlier class's term on the same scale
+    denom: np.ndarray        # row_sums + outlier
+    log_likelihood: float
+
+
+def e_step(D2: np.ndarray, sigma: float, K: int, d2_max: float) -> EStep:
+    """Unnormalised posterior weights of a block of data points and their
+    observed-data log-likelihood, from the m x n squared distances ``D2``
+    of ``_sq_distances`` in K dimensions at variance sigma. ``D2`` is
+    overwritten with the weights.
+
+    Row j's weights are exp(-D2_ji / (2 sigma) - shift_j), with shift_j
+    the larger of the row's largest exponent and the outlier term's, so
+    very small variances do not underflow. A row's log-likelihood is its
+    shift plus the log of its normalizer plus log pi_in - K/2 log(2 pi
+    sigma). ``d2_max`` bounds every entry of ``D2``; exponents that it
+    shows may fall below ``EXP_ZERO`` are set to 0 without calling ``exp``.
+    A wrong bound costs time, never accuracy.
     """
     m, n = D2.shape
     pi_in = (1.0 - PI_OUT) / n
@@ -81,29 +104,35 @@ def e_step(D2: np.ndarray, sigma: float, K: int) -> tuple[np.ndarray, float]:
     # hypersphere-normalized coordinates live inside it)
     density = 1.0 / unit_ball_volume(K)
     uniform_const = (PI_OUT / pi_in) * (2.0 * np.pi) ** (K / 2.0) * density
-    posterior = np.empty((m, n + 1))
-    # the exponents, their exponentials and the inlier posterior are all
-    # written in place into the first n columns
-    inlier = posterior[:, :n]
-    np.divide(D2, -2.0 * sigma, out=inlier)
     log_u = np.log(uniform_const) + (K / 2.0) * np.log(sigma)
-    shift = np.maximum(inlier.max(axis=1), log_u)
-    inlier -= shift[:, None]
-    np.exp(inlier, out=inlier)
-    out = np.exp(log_u - shift)
-    denom = inlier.sum(axis=1) + out
-    inlier /= denom[:, None]
-    posterior[:, -1] = out / denom
+    # the exponents and their exponentials are written in place
+    weights = np.divide(D2, -2.0 * sigma, out=D2)
+    shift = np.maximum(weights.max(axis=1), log_u)
+    weights -= shift[:, None]
+    # every exponent is at least -d2_max / (2 sigma) - max(shift), and
+    # every shift is at most max(0, log_u), since no D2 entry is negative
+    if -d2_max / (2.0 * sigma) - max(log_u, 0.0) < EXP_ZERO:
+        low = weights < EXP_ZERO
+        np.exp(weights, out=weights, where=~low)
+        weights[low] = 0.0
+    else:
+        np.exp(weights, out=weights)
+    row_sums = weights.sum(axis=1)
+    outlier = np.exp(log_u - shift)
+    denom = row_sums + outlier
     const = np.log(pi_in) - (K / 2.0) * np.log(2.0 * np.pi * sigma)
     ll = float((shift + np.log(denom)).sum() + m * const)
-    return posterior, ll
+    return EStep(weights, row_sums, outlier, denom, ll)
 
 
 def m_step(
-    X: np.ndarray, X_data: np.ndarray, posterior: np.ndarray
+    X: np.ndarray, X_data: np.ndarray, weighted: np.ndarray,
+    col_mass: np.ndarray, row_mass: np.ndarray,
 ) -> tuple[np.ndarray, float, bool]:
-    """Closed-form orthogonal alignment and variance update from the m x n
-    inlier columns of the posterior.
+    """Closed-form orthogonal alignment and variance update from the
+    posterior's sufficient statistics over its m x n inlier columns alpha:
+    ``weighted`` = X_data @ alpha (K x n), ``col_mass`` = alpha's column
+    sums and ``row_mass`` its row sums.
 
     Returns (R, sigma, degenerate). R is the orthogonal polar factor of
     the posterior-weighted cross-covariance; reflections are allowed.
@@ -111,20 +140,19 @@ def m_step(
     in which case the factorization completes the rotation
     deterministically on the null space.
     """
-    alpha = np.asarray(posterior, dtype=float)
-    cross = X_data @ alpha @ X.T
+    cross = weighted @ X.T
     A, svals, Bt = np.linalg.svd(cross)
     R = A @ Bt
     degenerate = bool(svals.size and svals[-1] <= 1e-12 * max(svals[0], 1e-300))
 
-    total = alpha.sum()
+    total = row_mass.sum()
     if total <= 0:
         raise ValueError("posterior carries no inlier mass")
     # sum_ji alpha_ji |y_j - R x_i|^2 without a distance matrix, as in rigid
     # Coherent Point Drift: tr(R^T cross) is the sum of the singular values.
     # Rounding can leave it slightly negative, which the floor absorbs.
-    residual = (alpha.sum(axis=1) @ (X_data ** 2).sum(axis=0)
-                + alpha.sum(axis=0) @ (X ** 2).sum(axis=0) - 2.0 * svals.sum())
+    residual = (row_mass @ (X_data ** 2).sum(axis=0)
+                + col_mass @ (X ** 2).sum(axis=0) - 2.0 * svals.sum())
     sigma = float(residual / (X.shape[0] * total))
     return R, max(sigma, SIGMA_FLOOR), degenerate
 
@@ -173,9 +201,13 @@ def em_register(X: np.ndarray, X_data: np.ndarray, R0: np.ndarray) -> Correspond
     eigenbasis alignment. Iterates until the relative log-likelihood
     change drops below ``TOL`` or ``MAX_ITER`` is hit, then accepts the
     assignments whose posterior strictly exceeds ``MAP_THRESHOLD``. Each
-    iteration is an m-step followed by an e-step, and each e-step builds
-    one distance matrix; the first e-step, at R0, also gives the starting
-    variance. The last e-step's posterior and likelihood are the result.
+    iteration is an m-step followed by an e-step; the first e-step, at R0,
+    also gives the starting variance. An e-step visits the data points in
+    row blocks of at most ``BLOCK_ENTRIES`` distances, builds one distance
+    matrix per block and adds the block's unnormalised weights, scaled by
+    their rows' normalisers, to the m-step's sufficient statistics. The
+    last e-step instead writes the normalised posterior, which with its
+    likelihood is the result.
     """
     X = np.asarray(X, dtype=float)
     X_data = np.asarray(X_data, dtype=float)
@@ -190,31 +222,66 @@ def em_register(X: np.ndarray, X_data: np.ndarray, R0: np.ndarray) -> Correspond
     if R.shape != (K, K) or np.linalg.norm(R.T @ R - np.eye(K)) > 1e-8:
         raise ValueError(f"R0 must be an orthogonal {K} x {K} matrix")
 
+    m = X_data.shape[1]
+    rows = max(1, BLOCK_ENTRIES // n)
+    blocks = [slice(start, start + rows) for start in range(0, m, rows)]
+    # R is orthogonal, so no squared distance exceeds (max |y| + max |x|)^2
+    d2_max = (np.linalg.norm(X_data, axis=0).max() + np.linalg.norm(X, axis=0).max()) ** 2
+
     # the starting variance is the mean squared distance from each data
-    # point to its nearest center
-    D2 = _sq_distances(X, X_data, R)
-    sigma = max(float(D2.min(axis=1).mean()), SIGMA_FLOOR)
+    # point to its nearest center; a single block's matrix is also the
+    # first e-step's, more blocks are built again
+    nearest = np.empty(m)
+    for b in blocks:
+        D2 = _sq_distances(X, X_data[:, b], R)
+        nearest[b] = D2.min(axis=1)
+    sigma = max(float(nearest.mean()), SIGMA_FLOOR)
+    if len(blocks) > 1:
+        D2 = None
+    posterior = np.empty((m, n + 1))
+    winners = np.empty(m, dtype=np.intp)
+    row_mass = np.empty(m)
     trace = []
     degenerate = converged = False
     iterations = 0
     while True:
-        posterior, ll = e_step(D2, sigma, K)
-        del D2   # the next matrix is built only after this one is dropped
+        # the last e-step alone normalises its rows, into the posterior;
+        # the others add their blocks to the m-step's sufficient statistics
+        last = converged or iterations == MAX_ITER
+        weighted = np.zeros((K, n))
+        col_mass = np.zeros(n)
+        ll = 0.0
+        for b in blocks:
+            if D2 is None:
+                D2 = _sq_distances(X, X_data[:, b], R)
+            step = e_step(D2, sigma, K, d2_max)
+            ll += step.log_likelihood
+            if last:
+                inlier = posterior[b, :n]
+                np.divide(step.weights, step.denom[:, None], out=inlier)
+                np.divide(step.outlier, step.denom, out=posterior[b, n])
+                # by block: argmax copies a strided matrix first
+                winners[b] = inlier.argmax(axis=1)
+            else:
+                r = 1.0 / step.denom
+                weighted += (X_data[:, b] * r) @ step.weights
+                col_mass += r @ step.weights
+                row_mass[b] = step.row_sums * r
+            # the next matrix is built only after this one is dropped
+            D2 = step = None
         if not np.isfinite(ll):
             raise NumericalError(f"non-finite log-likelihood at e-step {iterations + 1}")
         trace.append(ll)
-        if converged or iterations == MAX_ITER:
+        if last:
             break
-        R, sigma, degenerate = m_step(X, X_data, posterior[:, :-1])
+        R, sigma, degenerate = m_step(X, X_data, weighted, col_mass, row_mass)
         iterations += 1
         # converged once the likelihood this m-step started from moved less
         # than TOL from the one before; one more e-step gives the result
         converged = iterations > 1 and (
             abs(ll - trace[-2]) / max(abs(trace[-2]), 1e-30) < TOL
         )
-        D2 = _sq_distances(X, X_data, R)
 
-    winners = posterior[:, :-1].argmax(axis=1)
     accepted = posterior[np.arange(winners.size), winners] > MAP_THRESHOLD
     map_matches = [(j, int(winners[j])) for j in np.flatnonzero(accepted).tolist()]
     unmatched = np.flatnonzero(~accepted).tolist()

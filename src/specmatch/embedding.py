@@ -86,20 +86,20 @@ def theta_scree(eigenvalues) -> np.ndarray:
     return np.cumsum(inv) / inv.sum()
 
 
-def select_dimension(eigenvalues, n: int, theta_target: float) -> DimensionSelection:
-    """Smallest K whose captured-variance lower bound reaches the target.
+def select_dimension(theta, theta_target: float) -> DimensionSelection:
+    """Smallest K whose captured-variance lower bound reaches the target,
+    from ``theta_min``'s vector ``theta`` of the bounds for K = 1, 2, ...
 
     Returns the number of available pairs with ``reached=False`` when no
     K attains the target.
     """
     if not 0.0 < theta_target < 1.0:
         raise ValueError(f"theta_target must be in (0,1), got {theta_target}")
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0:
+    theta = np.asarray(theta, dtype=float)
+    if theta.size == 0:
         raise ValueError("need at least one non-null eigenvalue")
-    theta = theta_min(lam, n)
     hits = np.flatnonzero(theta >= theta_target)
-    K = int(hits[0]) + 1 if hits.size else lam.size
+    K = int(hits[0]) + 1 if hits.size else theta.size
     return DimensionSelection(K=K, theta_min=float(theta[K - 1]), reached=bool(hits.size))
 
 

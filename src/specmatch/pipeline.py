@@ -63,25 +63,27 @@ def mesh_spectra(meshes, config: PipelineConfig, *, all_pairs: bool = False):
     theta-selected K of the meshes. A fixed K solves only the K+1 pairs the
     embedding reads; theta selection reads all k_cap+1, and so does a caller
     that passes ``all_pairs``. Every spectrum holds the same number of
-    pairs. Returns (spectra, selection), the last being the report block
-    that holds K.
+    pairs. Returns (spectra, selection, thetas): selection is the report
+    block that holds K, and thetas holds each spectrum's ``theta_min``
+    vector when all k_cap+1 pairs were solved, else None.
     """
     graphs = [_stage("mesh_graph", _mesh_graph.build_graph, mesh) for mesh in meshes]
     laps = [_stage("laplacian", _laplacian.assemble, graph) for graph in graphs]
     k_cap = min(K_MAX_DEFAULT, *(graph.n - 1 for graph in graphs))
     fixed_k = None if config.k is None else min(config.k, k_cap)
-    k_solve = k_cap if fixed_k is None or all_pairs else fixed_k
-    spectra = [_stage("spectral", _spectral.eigs_smallest, lap, k_solve)
-               for lap in laps]
+    every_pair = fixed_k is None or all_pairs
+    spectra = [_stage("spectral", _spectral.eigs_smallest, lap,
+                      k_cap if every_pair else fixed_k) for lap in laps]
+    thetas = [_embedding.theta_min(spec.eigenvalues[1:], spec.n)
+              for spec in spectra] if every_pair else None
     if fixed_k is not None:
-        return spectra, {"mode": "fixed", "K": fixed_k}
+        return spectra, {"mode": "fixed", "K": fixed_k}, thetas
     # each spectrum's k_cap non-null pairs bound its selected K by k_cap
-    sels = [_embedding.select_dimension(spec.eigenvalues[1:], spec.n, config.theta)
-            for spec in spectra]
+    sels = [_embedding.select_dimension(theta, config.theta) for theta in thetas]
     selection = {"mode": "theta", "K": max(sel.K for sel in sels)}
     selection.update((f"theta_min_{tag}", sel.theta_min) for tag, sel in zip("ab", sels))
     selection.update((f"reached_{tag}", sel.reached) for tag, sel in zip("ab", sels))
-    return spectra, selection
+    return spectra, selection, thetas
 
 
 def spectral_embedding(spectrum: _spectral.Spectrum, K: int, kind: str,
@@ -100,7 +102,7 @@ def run_match(mesh_a: Mesh, mesh_b: Mesh, config: PipelineConfig = PipelineConfi
     per-stage report."""
     report: dict = {"config": asdict(config)}
 
-    (spec_a, spec_b), selection = mesh_spectra((mesh_a, mesh_b), config)
+    (spec_a, spec_b), selection, _ = mesh_spectra((mesh_a, mesh_b), config)
     report["n_a"], report["n_b"] = spec_a.n, spec_b.n
     report["spectral"] = {
         "method_a": spec_a.method, "method_b": spec_b.method,

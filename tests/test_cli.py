@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specmatch import embedding
 from specmatch.cli import EXIT_INPUT, EXIT_IO, EXIT_NUMERICAL, main
 from specmatch.embedding import theta_min
 from specmatch.mesh_graph import load_mesh, save_mesh
@@ -232,8 +233,8 @@ def test_embed_solves_every_theta_row(tmp_path, torus_off, capsys, solve_sizes):
     assert table[0] == "K\ttheta_min"
     assert [row.split("\t")[0] for row in table[1:]] == [str(k) for k in range(1, 51)]
     # each row's value is the bound of theta_min over the same 50 eigenvalues
-    (spectrum,), _ = mesh_spectra((load_mesh(torus_off),), PipelineConfig(k=10),
-                                  all_pairs=True)
+    (spectrum,), _, _ = mesh_spectra((load_mesh(torus_off),), PipelineConfig(k=10),
+                                     all_pairs=True)
     theta = theta_min(spectrum.eigenvalues[1:], spectrum.n)
     assert [row.split("\t")[1] for row in table[1:]] == [f"{t:.12f}" for t in theta]
 
@@ -481,6 +482,44 @@ def test_huge_triplet_index_is_an_input_failure(tmp_path, capsys, index):
     ok.write_text("0 1 1\n1 0 1\n")
     err = _assert_one_line_failure(capsys, ["isolab", str(big), str(ok)], EXIT_INPUT)
     assert f"{big}: index {index} " in err
+
+
+@pytest.mark.parametrize("big_first", [True, False], ids=["first", "second"])
+def test_triplet_matrix_too_large_to_densify_is_an_input_failure(
+        tmp_path, capsys, monkeypatch, big_first):
+    # a 1000001 x 1000001 dense array would take 7.3 TiB; a stand-in for
+    # toarray raises its MemoryError, so the test allocates nothing large
+    from scipy import sparse
+
+    densify = sparse.csr_matrix.toarray
+
+    def no_memory_when_huge(self, *args, **kwargs):
+        if self.shape[0] > 10**5:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return densify(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_matrix, "toarray", no_memory_when_huge)
+    big, ok = tmp_path / "big.txt", tmp_path / "ok.txt"
+    big.write_text("0 1000000 1\n1000000 0 1\n")
+    ok.write_text("0 1 1\n1 0 1\n")
+    paths = [str(big), str(ok)] if big_first else [str(ok), str(big)]
+    err = _assert_one_line_failure(capsys, ["isolab", *paths], EXIT_INPUT)
+    assert f"{big}: a dense 1000001 x 1000001 matrix is too large to hold" in err
+
+
+@pytest.mark.parametrize("k", [[], ["--k", "10"]], ids=["theta", "fixed"])
+def test_embed_computes_the_theta_bounds_once(tmp_path, torus_off, monkeypatch, k):
+    # theta selection and the printed theta table read one theta_min vector
+    calls = []
+    original = embedding.theta_min
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(embedding, "theta_min", counting)
+    assert main(["embed", torus_off, *k, "--out", str(tmp_path / "emb.txt")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind, param, message", [

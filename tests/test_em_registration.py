@@ -32,6 +32,18 @@ def _direct_sq_distances(X, X_data, R):
     return cdist(X_data.T, (R @ X).T, metric="sqeuclidean")
 
 
+def _posterior(D2, sigma, K):
+    """The normalised m x (n+1) posterior and the log-likelihood of one e-step."""
+    step = e_step(D2, sigma, K, D2.max())
+    post = np.column_stack([step.weights, step.outlier]) / step.denom[:, None]
+    return post, step.log_likelihood
+
+
+def _sums(data, alpha):
+    """``m_step``'s sufficient statistics of the inlier posterior alpha."""
+    return data @ alpha, alpha.sum(axis=0), alpha.sum(axis=1)
+
+
 @pytest.fixture(scope="module")
 def cylinder_spectrum():
     mesh = bent_cylinder(8, 20)
@@ -85,7 +97,7 @@ def test_em_on_near_exact_copy_matches_direct_distances(monkeypatch):
 def test_e_step_equidistant_centers():
     X = np.array([[-1.0, 1.0], [0.0, 0.0]])
     data = np.zeros((2, 1))
-    post, _ = e_step(_sq_distances(X, data, np.eye(2)), 0.3, 2)
+    post, _ = _posterior(_sq_distances(X, data, np.eye(2)), 0.3, 2)
     assert post[0, 0] == post[0, 1]
     assert post[0].sum() == pytest.approx(1.0)
 
@@ -97,7 +109,7 @@ def test_e_step_outlier_balance(monkeypatch):
     monkeypatch.setattr(em_registration, "PI_OUT", 2.0 / 3.0)
     X = np.zeros((2, 1))
     data = np.zeros((2, 1))
-    post, _ = e_step(_sq_distances(X, data, np.eye(2)), 0.25, 2)
+    post, _ = _posterior(_sq_distances(X, data, np.eye(2)), 0.25, 2)
     np.testing.assert_allclose(post, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -106,7 +118,7 @@ def test_e_step_rows_stochastic(monkeypatch):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((3, 8))
     data = rng.standard_normal((3, 12))
-    post, _ = e_step(_sq_distances(X, data, np.eye(3)), 0.2, 3)
+    post, _ = _posterior(_sq_distances(X, data, np.eye(3)), 0.2, 3)
     assert post.shape == (12, 9)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(post >= 0.0)
@@ -115,7 +127,7 @@ def test_e_step_rows_stochastic(monkeypatch):
 def test_e_step_tiny_sigma_no_underflow():
     X = np.array([[0.0, 10.0]])
     data = np.array([[0.1]])
-    post, _ = e_step(_sq_distances(X, data, np.eye(1)), 1e-14, 1)
+    post, _ = _posterior(_sq_distances(X, data, np.eye(1)), 1e-14, 1)
     assert np.all(np.isfinite(post))
     np.testing.assert_allclose(post.sum(axis=1), 1.0)
 
@@ -126,7 +138,7 @@ def test_m_step_recovers_rotation():
     Q0 = special_ortho_group.rvs(3, random_state=2)
     data = Q0 @ X
     posterior = np.eye(20)
-    R, sigma, degenerate = m_step(X, data, posterior)
+    R, sigma, degenerate = m_step(X, data, *_sums(data, posterior))
     np.testing.assert_allclose(R, Q0, atol=1e-10)
     assert sigma == pytest.approx(SIGMA_FLOOR)
     assert not degenerate
@@ -137,7 +149,7 @@ def test_m_step_uniform_posterior_sigma():
     X = rng.standard_normal((2, 5))
     data = rng.standard_normal((2, 4))
     alpha = np.full((4, 5), 1.0 / 5.0)
-    R, sigma, _ = m_step(X, data, alpha)
+    R, sigma, _ = m_step(X, data, *_sums(data, alpha))
     D2 = cdist(data.T, (R @ X).T, metric="sqeuclidean")
     expected = (alpha * D2).sum() / (2.0 * alpha.sum())
     assert sigma == pytest.approx(expected, rel=1e-12)
@@ -147,7 +159,7 @@ def test_m_step_uniform_posterior_sigma():
 def test_m_step_single_pair_floor():
     X = np.array([[1.0], [0.0]])
     data = np.array([[0.0], [1.0]])
-    R, sigma, _ = m_step(X, data, np.array([[1.0]]))
+    R, sigma, _ = m_step(X, data, *_sums(data, np.array([[1.0]])))
     np.testing.assert_allclose(R @ X, data, atol=1e-12)
     assert sigma == pytest.approx(SIGMA_FLOOR)
 
@@ -155,7 +167,7 @@ def test_m_step_single_pair_floor():
 def test_m_step_degenerate_flag():
     X = np.zeros((2, 3))
     data = np.zeros((2, 3))
-    _, _, degenerate = m_step(X, data, np.full((3, 3), 1 / 3))
+    _, _, degenerate = m_step(X, data, *_sums(data, np.full((3, 3), 1 / 3)))
     assert degenerate
 
 
@@ -165,7 +177,7 @@ def test_m_step_rejects_a_posterior_without_inlier_mass():
     X = rng.standard_normal((2, 5))
     data = rng.standard_normal((2, 4))
     with pytest.raises(ValueError, match="posterior carries no inlier mass"):
-        m_step(X, data, np.zeros((4, 5)))
+        m_step(X, data, *_sums(data, np.zeros((4, 5))))
 
 
 def test_initial_sigma_nearest_center(monkeypatch):
@@ -175,7 +187,7 @@ def test_initial_sigma_nearest_center(monkeypatch):
     X = np.array([[0.0, 4.0]])
     data = np.array([[1.0, 3.0]])
     corr = em_register(X, data, np.eye(1))
-    _, ll = e_step(_sq_distances(X, data, np.eye(1)), 1.0, 1)
+    _, ll = _posterior(_sq_distances(X, data, np.eye(1)), 1.0, 1)
     assert corr.log_likelihood_trace[0] == ll
 
 
@@ -256,7 +268,7 @@ def test_likelihood_consistent_with_e_step(monkeypatch):
     data = rng.standard_normal((2, 5))
     ll = log_likelihood(X, data, np.eye(2), 0.3)
     assert np.isfinite(ll)
-    _, e_ll = e_step(_sq_distances(X, data, np.eye(2)), 0.3, 2)
+    _, e_ll = _posterior(_sq_distances(X, data, np.eye(2)), 0.3, 2)
     assert e_ll == pytest.approx(ll, rel=1e-12)
 
 
@@ -277,7 +289,7 @@ def test_e_step_log_likelihood_matches_reference(monkeypatch, pi_out, sigma, nea
     R = special_ortho_group.rvs(4, random_state=14)
     if near:
         data = R @ X[:, cols] + 1e-10 * rng.standard_normal((4, 7))
-    _, ll = e_step(_sq_distances(X, data, R), sigma, 4)
+    _, ll = _posterior(_sq_distances(X, data, R), sigma, 4)
     assert ll == pytest.approx(log_likelihood(X, data, R, sigma), rel=1e-12)
 
 
@@ -311,6 +323,63 @@ def test_em_builds_one_distance_matrix_per_iteration(monkeypatch):
     assert len(e_steps) == corr.iterations + 1
 
 
+def _noisy_pair(seed, K=4, n=40, m=47):
+    """n unit-norm centers and m data points: a jittered copy of the
+    centers plus m - n points drawn inside the unit ball."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((K, n))
+    X /= np.linalg.norm(X, axis=0)
+    extra = rng.standard_normal((K, m - n))
+    extra *= rng.random(m - n) / np.linalg.norm(extra, axis=0)
+    return X, np.hstack([X + 0.02 * rng.standard_normal((K, n)), extra])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_em_in_row_blocks_matches_one_block(monkeypatch, rows):
+    monkeypatch.setattr(em_registration, "PI_OUT", 0.05)
+    X, data = _noisy_pair(21)
+    whole = em_register(X, data, np.eye(4))
+    assert whole.iterations > 2
+    monkeypatch.setattr(em_registration, "BLOCK_ENTRIES", rows * X.shape[1])
+    blocked = em_register(X, data, np.eye(4))
+    assert blocked.map_matches == whole.map_matches
+    assert blocked.unmatched == whole.unmatched
+    assert (blocked.iterations, blocked.converged) == (whole.iterations, whole.converged)
+    np.testing.assert_allclose(blocked.posterior, whole.posterior, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(blocked.log_likelihood_trace, whole.log_likelihood_trace,
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rows", [3, 100])
+def test_em_posterior_is_row_stochastic(monkeypatch, rows):
+    monkeypatch.setattr(em_registration, "BLOCK_ENTRIES", rows * 40)
+    X, data = _noisy_pair(22)
+    post = em_register(X, data, np.eye(4)).posterior
+    assert post.shape == (47, 41)
+    assert np.all(post >= 0.0)
+    np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_e_step_skipping_underflowing_exponents_is_bitwise_exp():
+    # every row holds a 0 distance and log_u < 0 at this sigma, so no row
+    # shifts and the exponents are -D2 / (2 sigma) exactly; about nine in
+    # ten underflow, some results are subnormal, and a few sit at the edges
+    # of exp's zero and subnormal ranges
+    rng = np.random.default_rng(23)
+    sigma, K = 0.05, 2
+    D2 = rng.uniform(0.0, 500.0, (30, 300))
+    D2[:, 0] = 0.0
+    D2[:, 1:9] = np.array([708.0, 709.5, 744.0, 745.0, 745.1, 745.2, 746.0, 746.5]) / 10.0
+    expected = np.exp(D2 / (-2.0 * sigma))
+    assert (expected == 0.0).mean() > 0.8
+    assert ((expected > 0.0) & (expected < np.finfo(float).tiny)).any()
+    # D2's true maximum lets the e-step skip exp below EXP_ZERO; a bound of
+    # 0 claims that nothing underflows, so every entry goes through exp
+    for d2_max in (D2.max(), 0.0):
+        step = e_step(D2.copy(), sigma, K, d2_max)
+        assert np.array_equal(step.weights, expected)
+
+
 def test_em_reports_convergence(monkeypatch):
     rng = np.random.default_rng(16)
     X = rng.standard_normal((4, 30))
@@ -335,8 +404,8 @@ def test_em_final_likelihood_is_checked(monkeypatch):
 
     def nan_on_second(*args):
         calls.append(1)
-        posterior, ll = original(*args)
-        return posterior, (np.nan if len(calls) == 2 else ll)
+        step = original(*args)
+        return step._replace(log_likelihood=np.nan) if len(calls) == 2 else step
 
     monkeypatch.setattr(em_registration, "e_step", nan_on_second)
     monkeypatch.setattr(em_registration, "MAX_ITER", 1)

@@ -142,7 +142,7 @@ def test_select_dimension_quadratic_decay():
     n = 200
     lam = np.arange(1, n) ** 2.0
     target = 0.95
-    sel = select_dimension(lam, n, target)
+    sel = select_dimension(theta_min(lam, n), target)
     lower = theta_min(lam, n)
     assert sel.reached
     assert sel.theta_min == lower[sel.K - 1] >= target
@@ -153,7 +153,7 @@ def test_select_dimension_quadratic_decay():
 
 def test_select_dimension_unreachable():
     lam = np.array([1.0, 1.0, 1.0])
-    sel = select_dimension(lam, 100, 0.99)
+    sel = select_dimension(theta_min(lam, 100), 0.99)
     assert not sel.reached
     assert sel.K == 3
     assert sel.theta_min == theta_min(lam, 100)[-1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specmatch.embedding import select_dimension
+from specmatch.embedding import select_dimension, theta_min
 from specmatch.errors import PipelineError
 from specmatch.evaluation import GroundTruth, registration_error, synth_transform
 from specmatch.pipeline import PipelineConfig, mesh_spectra, run_match
@@ -62,7 +62,7 @@ def test_match_does_not_depend_on_vertex_order(make, config, method):
     mesh_a = make()
     mesh_b, _ = synth_transform(mesh_a, "noise", 0.02, seed=3)
     mesh_c, gt = synth_transform(mesh_b, "isometry_relabel", seed=103)
-    (spec_b, spec_c), _ = mesh_spectra((mesh_b, mesh_c), config)
+    (spec_b, spec_c), _, _ = mesh_spectra((mesh_b, mesh_c), config)
     assert spec_b.method == spec_c.method == method
     np.testing.assert_allclose(spec_c.eigenvalues[1:], spec_b.eigenvalues[1:], rtol=1e-12)
     direct = run_match(mesh_a, mesh_b, config).correspondence.map_matches
@@ -91,8 +91,8 @@ def test_theta_mode_takes_the_larger_selection():
     # larger K, and the report holds each mesh's own bound and flag
     mesh_a, mesh_b = bumpy_torus(16, 10), bumpy_torus(12, 8)
     config = PipelineConfig(theta=0.2)
-    (spec_a, spec_b), _ = mesh_spectra((mesh_a, mesh_b), config)
-    sel_a, sel_b = (select_dimension(spec.eigenvalues[1:], spec.n, config.theta)
+    (spec_a, spec_b), _, _ = mesh_spectra((mesh_a, mesh_b), config)
+    sel_a, sel_b = (select_dimension(theta_min(spec.eigenvalues[1:], spec.n), config.theta)
                     for spec in (spec_a, spec_b))
     assert sel_a.K > sel_b.K
     report = run_match(mesh_a, mesh_b, config).report["k_selection"]
